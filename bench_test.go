@@ -1,7 +1,7 @@
 // Benchmarks mapping one-to-one onto the paper's tables and figures (see
-// DESIGN.md's per-experiment index). Each figure-level benchmark executes the
-// corresponding internal/bench driver; per-operation benchmarks at the end
-// give ns/op for the individual algorithms.
+// EXPERIMENTS.md). Each figure-level benchmark executes the corresponding
+// internal/bench driver; per-operation benchmarks at the end give ns/op for
+// the individual algorithms.
 //
 // Scale knobs (environment):
 //
@@ -11,8 +11,6 @@
 package acq_test
 
 import (
-	"context"
-	"fmt"
 	"os"
 	"strconv"
 	"sync"
@@ -237,7 +235,7 @@ func BenchmarkFig17Variant2(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationFPM compares Dec's two candidate miners (DESIGN.md §5).
+// BenchmarkAblationFPM compares Dec's two candidate miners (FP-Growth, Apriori).
 func BenchmarkAblationFPM(b *testing.B) {
 	perDataset(b, func(b *testing.B, ds *bench.Dataset) {
 		for i := 0; i < b.N; i++ {
@@ -246,7 +244,7 @@ func BenchmarkAblationFPM(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationLemma3 measures the Lemma 3 prune (DESIGN.md §6).
+// BenchmarkAblationLemma3 measures the Lemma 3 prune.
 func BenchmarkAblationLemma3(b *testing.B) {
 	perDataset(b, func(b *testing.B, ds *bench.Dataset) {
 		for i := 0; i < b.N; i++ {
@@ -256,7 +254,7 @@ func BenchmarkAblationLemma3(b *testing.B) {
 }
 
 // BenchmarkExtTruss compares k-core against k-truss structure cohesiveness
-// (the paper's named future work; DESIGN.md extension experiment).
+// (the paper's named future work).
 func BenchmarkExtTruss(b *testing.B) {
 	perDataset(b, func(b *testing.B, ds *bench.Dataset) {
 		for i := 0; i < b.N; i++ {
@@ -300,23 +298,6 @@ func BenchmarkOpBuildBasic(b *testing.B) {
 			core.BuildBasic(ds.G)
 		}
 	})
-}
-
-// BenchmarkOpBuildParallel sweeps the parallel index pipeline's worker counts
-// (1 = the serial path BuildAdvanced uses). Compare ns/op across sub-runs to
-// read the speedup; the differential tests guarantee the output is identical.
-func BenchmarkOpBuildParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			perDataset(b, func(b *testing.B, ds *bench.Dataset) {
-				opts := core.BuildOptions{Workers: workers}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					core.BuildAdvancedOpts(ds.G, opts)
-				}
-			})
-		})
-	}
 }
 
 func benchQuery(b *testing.B, run func(ds *bench.Dataset, q graph.VertexID)) {
@@ -374,9 +355,9 @@ func BenchmarkOpQueryLocal(b *testing.B) {
 	})
 }
 
-// --- Serving-path benchmarks: snapshot acquire + Search under concurrent
-// writers, the cache-hit fast path, pinned-snapshot batch throughput, and
-// the copy-on-write publication cost a mutation pays in serving mode.
+// --- SearchBatch fan-out. The rest of the serving path (snapshot pin,
+// result cache, publication, transport) is measured end to end on a real
+// acqd by go run ./benchmark.
 
 // servingBenchGraph builds an indexed synthetic graph plus a set of queries
 // whose vertices sit in a reasonably deep core, so every query does real
@@ -404,93 +385,6 @@ func servingBenchGraph(b *testing.B) (*acq.Graph, []acq.Query) {
 	return g, queries
 }
 
-// toggleEdges flips one inter-vertex edge as fast as it can until stop is
-// closed — each effective toggle publishes a fresh snapshot.
-func toggleEdges(g *acq.Graph, u, v int32, stop <-chan struct{}, done *sync.WaitGroup) {
-	defer done.Done()
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		if !g.InsertEdge(u, v) {
-			g.RemoveEdge(u, v)
-		}
-	}
-}
-
-// BenchmarkServingSnapshotSearch measures the lock-free read path alone:
-// snapshot acquisition plus an uncached Search, across parallel readers.
-func BenchmarkServingSnapshotSearch(b *testing.B) {
-	g, queries := servingBenchGraph(b)
-	g.SetResultCacheSize(-1) // measure the search, not the cache
-	g.Snapshot()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			snap := g.Snapshot()
-			if _, err := snap.Search(bgCtx, queries[i%len(queries)]); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
-}
-
-// BenchmarkServingSnapshotSearchUnderWrites is the serving story end to end:
-// parallel readers keep querying while a writer continuously toggles an edge
-// (and therefore republishes snapshots copy-on-write). Compare with
-// BenchmarkServingSnapshotSearch to see what write pressure costs readers.
-func BenchmarkServingSnapshotSearchUnderWrites(b *testing.B) {
-	g, queries := servingBenchGraph(b)
-	g.SetResultCacheSize(-1)
-	g.Snapshot()
-	stop := make(chan struct{})
-	var writers sync.WaitGroup
-	writers.Add(1)
-	go toggleEdges(g, queries[0].VertexID, queries[len(queries)-1].VertexID, stop, &writers)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			snap := g.Snapshot()
-			if _, err := snap.Search(bgCtx, queries[i%len(queries)]); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
-	b.StopTimer()
-	close(stop)
-	writers.Wait()
-}
-
-// BenchmarkServingCachedSearch measures the hot-query fast path: repeated
-// identical queries answered from the per-snapshot LRU result cache.
-func BenchmarkServingCachedSearch(b *testing.B) {
-	g, queries := servingBenchGraph(b)
-	snap := g.Snapshot()
-	if _, err := snap.Search(bgCtx, queries[0]); err != nil { // warm the entry
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := snap.Search(bgCtx, queries[0]); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
 // BenchmarkServingSearchBatch measures pinned-snapshot batch throughput:
 // one snapshot acquisition amortised over the whole query set, with the
 // worker pool fanning out across CPUs. ns/op is per batch.
@@ -506,124 +400,5 @@ func BenchmarkServingSearchBatch(b *testing.B) {
 				b.Fatal(r.Err)
 			}
 		}
-	}
-}
-
-// BenchmarkSearchCtxOverhead measures what the cancellation checkpoints cost
-// on the hot path. The background sub-benchmark evaluates with an
-// uncancellable context (the checker is nil and every Tick is a no-op); the
-// cancellable sub-benchmark carries a live context.WithCancel, paying the
-// amortised decrement-and-poll in every peeling/BFS loop. The two ns/op
-// figures must stay within noise of each other — that is the acceptance bar
-// for threading ctx through internal/core, asserted by eye in CI's
-// bench-smoke artifact and recorded in EXPERIMENTS.md.
-func BenchmarkSearchCtxOverhead(b *testing.B) {
-	// Graph.Search evaluates directly against the live view — no snapshot,
-	// no result cache — so every iteration measures the full search.
-	g, queries := servingBenchGraph(b)
-	run := func(ctx context.Context) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.Search(ctx, queries[i%len(queries)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("background", run(context.Background()))
-
-	ctx, cancelFn := context.WithCancel(context.Background())
-	defer cancelFn()
-	b.Run("cancellable", run(ctx))
-}
-
-// BenchmarkSnapshotPublish measures snapshot publication itself — the cost
-// the frozen CSR read path was built to shrink. freeze publishes through the
-// serving path's primitive (Graph.Freeze via internal/graph) and must show
-// O(1) allocations for the adjacency/keyword payload; deepclone is the
-// pre-CSR publication (CloneWorkers) kept as the baseline, whose allocs/op
-// scales with the vertex count. publish measures the full public-path
-// republication (freeze + tree clone + snapshot assembly) through
-// acq.Graph.Snapshot after an effective mutation.
-func BenchmarkSnapshotPublish(b *testing.B) {
-	perDataset(b, func(b *testing.B, ds *bench.Dataset) {
-		b.Run("freeze", func(b *testing.B) {
-			prev := ds.G.Freeze(1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ds.G.FreezeReuse(1, prev)
-			}
-		})
-		b.Run("deepclone", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ds.G.CloneWorkers(1)
-			}
-		})
-	})
-	b.Run("publish", func(b *testing.B) {
-		g, queries := servingBenchGraph(b)
-		g.Snapshot() // activate serving mode
-		u, v := queries[0].VertexID, queries[len(queries)-1].VertexID
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if !g.InsertEdge(u, v) {
-				b.Skip("benchmark edge already present")
-			}
-			g.Snapshot()
-			g.RemoveEdge(u, v)
-			g.Snapshot()
-		}
-		b.StopTimer()
-		_, bytes := g.SnapshotStats()
-		b.ReportMetric(float64(bytes), "snapshot-bytes")
-	})
-}
-
-// BenchmarkFrozenVsMutableQuery compares the hot query loop on the two read
-// representations through the public API: mutable runs Graph.Search against
-// the live master, frozen runs Snapshot.Search against the published CSR
-// copy (result cache disabled, so every iteration does the full search). The
-// differential tests guarantee identical answers; compare ns/op.
-func BenchmarkFrozenVsMutableQuery(b *testing.B) {
-	g, queries := servingBenchGraph(b)
-	g.SetResultCacheSize(-1)
-	snap := g.Snapshot()
-	run := func(search func(q acq.Query) (acq.Result, error)) func(b *testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := search(queries[i%len(queries)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("mutable", run(func(q acq.Query) (acq.Result, error) { return g.Search(bgCtx, q) }))
-	b.Run("frozen", run(func(q acq.Query) (acq.Result, error) { return snap.Search(bgCtx, q) }))
-}
-
-// BenchmarkServingSnapshotPublish measures what one effective mutation costs
-// in serving mode: incremental index maintenance plus the copy-on-write
-// snapshot publication. Acquiring the snapshot after each mutation marks it
-// consumed, so the next mutation must publish eagerly — without that, write
-// bursts coalesce and the clone cost would never be measured (one insert and
-// one remove per iteration, each followed by an acquire → two publications).
-func BenchmarkServingSnapshotPublish(b *testing.B) {
-	g, queries := servingBenchGraph(b)
-	g.Snapshot() // activate serving mode
-	u, v := queries[0].VertexID, queries[len(queries)-1].VertexID
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !g.InsertEdge(u, v) {
-			b.Skip("benchmark edge already present")
-		}
-		g.Snapshot()
-		g.RemoveEdge(u, v)
-		g.Snapshot()
 	}
 }

@@ -4,31 +4,34 @@
 // Usage:
 //
 //	acqbench [-scale 1.0] [-queries 50] [-datasets flickr,dblp,tencent,dbpedia]
-//	         [-exp all] [-json out.json] [-workers 1,2,4,8]
+//	         [-exp all] [-nobasic]
 //
 // -exp selects experiments by paper artefact ID (comma separated):
 // table3, fig7, fig8, fig9, fig11, table4, table5-6, fig12, table7, fig13,
 // fig14a-d, fig14e-h, fig14i-l, fig14m-p, fig14q-t, fig15, fig16, fig17a-d,
-// fig17e-h, index-parallel, snapshot-publish, frozen-query,
-// collection-routing, mutation-throughput, cold-start, approx-search,
-// ablations.
-// "all" runs everything; "quality" and "perf" select the two groups.
+// fig17e-h, ext-truss, ext-influence, ablations.
+// "all" runs everything; "quality" and "perf" select the two groups. An
+// unknown ID exits 2 with the list of valid ones.
 //
-// -json additionally writes every selected experiment's results as a
-// machine-readable report (dataset, experiment ID, ns/op, bytes/op) so the
-// perf trajectory lands in BENCH_*.json files and CI artifacts instead of
-// only aligned-text tables. -workers sets the worker counts swept by the
-// index-parallel experiment.
+// Performance of the serving stack is measured by go run ./benchmark, not
+// here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
+	"slices"
 	"strings"
 
 	"github.com/acq-search/acq/internal/bench"
+)
+
+// The experiment IDs of each group, in the order main runs them.
+var (
+	qualityExps = []string{"table3", "fig7", "fig8", "fig9", "fig11", "table4", "table5-6", "fig12", "table7"}
+	perfExps    = []string{"fig13", "fig14a-d", "fig14e-h", "fig14i-l", "fig14m-p", "fig14q-t",
+		"fig15", "fig16", "fig17a-d", "fig17e-h", "ext-truss", "ext-influence", "ablations"}
 )
 
 func main() {
@@ -37,38 +40,25 @@ func main() {
 	datasets := flag.String("datasets", strings.Join(bench.DatasetNames(), ","), "comma-separated dataset list")
 	exps := flag.String("exp", "all", "comma-separated experiment IDs, or all/quality/perf")
 	noBasic := flag.Bool("nobasic", false, "skip the slow index-free baselines in fig14/fig17")
-	jsonOut := flag.String("json", "", "also write results as a machine-readable JSON report to this path")
-	workersArg := flag.String("workers", "1,2,4,8", "worker counts swept by the index-parallel experiment")
 	flag.Parse()
+
+	want, err := expandSelection(*exps)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "acqbench:", err)
+		os.Exit(2)
+	}
 
 	cfg := bench.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.Queries = *queries
-
-	workerCounts, err := parseWorkers(*workersArg)
-	if err != nil {
-		fatal(err)
-	}
-
-	want := expandSelection(*exps)
 	out := os.Stdout
-	var rep *bench.Report
-	if *jsonOut != "" {
-		rep = bench.NewReport(cfg)
-	}
-	record := func(dataset string, t *bench.Table) {
-		t.Fprint(out)
-		if rep != nil {
-			rep.AddTable(dataset, t)
-		}
-	}
 
 	if want["table3"] {
 		tab, err := bench.Table3(cfg)
 		if err != nil {
 			fatal(err)
 		}
-		record("", tab)
+		tab.Fprint(out)
 	}
 
 	names := strings.Split(*datasets, ",")
@@ -94,7 +84,7 @@ func main() {
 		}
 		run := func(id string, f func() *bench.Table) {
 			if want[id] {
-				record(name, f())
+				f().Fprint(out)
 			}
 		}
 		run("fig7", func() *bench.Table { return bench.Fig7(ds) })
@@ -106,39 +96,6 @@ func main() {
 		run("fig12", func() *bench.Table { return bench.Fig12(ds, []int{4, 5, 6, 7, 8}) })
 		run("table7", func() *bench.Table { return bench.Table7(ds) })
 		run("fig13", func() *bench.Table { return bench.Fig13(ds, fracs) })
-		// These drivers supply allocation-aware samples directly instead of
-		// flattened table cells.
-		runSampled := func(id string, f func() (*bench.Table, []bench.Sample)) {
-			if !want[id] {
-				return
-			}
-			tab, samples := f()
-			record(name, tab)
-			if rep != nil {
-				rep.AddSamples(samples...)
-			}
-		}
-		runSampled("index-parallel", func() (*bench.Table, []bench.Sample) {
-			return bench.IndexParallel(ds, workerCounts)
-		})
-		runSampled("snapshot-publish", func() (*bench.Table, []bench.Sample) {
-			return bench.SnapshotPublish(ds, workerCounts)
-		})
-		runSampled("frozen-query", func() (*bench.Table, []bench.Sample) {
-			return bench.FrozenQuery(ds)
-		})
-		runSampled("collection-routing", func() (*bench.Table, []bench.Sample) {
-			return bench.CollectionRouting(ds, *scale)
-		})
-		runSampled("mutation-throughput", func() (*bench.Table, []bench.Sample) {
-			return bench.MutationThroughput(ds, *scale)
-		})
-		runSampled("cold-start", func() (*bench.Table, []bench.Sample) {
-			return bench.ColdStart(ds, *scale)
-		})
-		runSampled("approx-search", func() (*bench.Table, []bench.Sample) {
-			return bench.ApproxSearch(ds, *scale)
-		})
 		run("fig14a-d", func() *bench.Table { return bench.Fig14QueryVsCS(ds) })
 		run("fig14e-h", func() *bench.Table { return bench.Fig14EffectK(ds, !*noBasic) })
 		run("fig14i-l", func() *bench.Table { return bench.Fig14KeywordScale(ds, fracs) })
@@ -152,67 +109,41 @@ func main() {
 		run("ext-influence", func() *bench.Table { return bench.ExtInfluence(ds, 5) })
 		run("ablations", func() *bench.Table { return bench.AblationFPM(ds) })
 		if want["ablations"] {
-			record(name, bench.AblationLemma3(ds))
-			record(name, bench.AblationMaintenance(ds, 50))
+			bench.AblationLemma3(ds).Fprint(out)
+			bench.AblationMaintenance(ds, 50).Fprint(out)
 		}
-	}
-
-	if rep != nil {
-		if err := rep.WriteFile(*jsonOut); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(out, "wrote %d tables / %d samples to %s\n", len(rep.Tables), len(rep.Samples), *jsonOut)
 	}
 }
 
-func parseWorkers(arg string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(arg, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		w, err := strconv.Atoi(tok)
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -workers entry %q (want positive integers)", tok)
-		}
-		out = append(out, w)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-workers needs at least one count")
-	}
-	return out, nil
-}
-
-func expandSelection(arg string) map[string]bool {
-	quality := []string{"table3", "fig7", "fig8", "fig9", "fig11", "table4", "table5-6", "fig12", "table7"}
-	perf := []string{"fig13", "index-parallel", "snapshot-publish", "frozen-query", "collection-routing", "mutation-throughput", "cold-start", "approx-search",
-		"fig14a-d", "fig14e-h", "fig14i-l", "fig14m-p", "fig14q-t",
-		"fig15", "fig16", "fig17a-d", "fig17e-h", "ext-truss", "ext-influence", "ablations"}
+// expandSelection turns the -exp argument into the set of experiment IDs to
+// run, expanding the group names and rejecting any ID that names no
+// experiment.
+func expandSelection(arg string) (map[string]bool, error) {
 	out := map[string]bool{}
+	add := func(ids []string) {
+		for _, id := range ids {
+			out[id] = true
+		}
+	}
 	for _, tok := range strings.Split(arg, ",") {
-		switch strings.TrimSpace(tok) {
+		switch tok = strings.TrimSpace(tok); tok {
 		case "all":
-			for _, id := range quality {
-				out[id] = true
-			}
-			for _, id := range perf {
-				out[id] = true
-			}
+			add(qualityExps)
+			add(perfExps)
 		case "quality":
-			for _, id := range quality {
-				out[id] = true
-			}
+			add(qualityExps)
 		case "perf":
-			for _, id := range perf {
-				out[id] = true
-			}
+			add(perfExps)
 		case "":
 		default:
-			out[strings.TrimSpace(tok)] = true
+			if !slices.Contains(qualityExps, tok) && !slices.Contains(perfExps, tok) {
+				return nil, fmt.Errorf("unknown experiment %q; valid IDs: all, quality, perf, %s",
+					tok, strings.Join(append(slices.Clone(qualityExps), perfExps...), ", "))
+			}
+			out[tok] = true
 		}
 	}
-	return out
+	return out, nil
 }
 
 func fatal(err error) {

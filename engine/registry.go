@@ -15,8 +15,8 @@ import (
 // *acq.Graph instances, each wrapped in a Collection that carries its
 // lifecycle state (building → ready | failed), its own serving counters and
 // its source description. The HTTP layer routes every v1 request through a
-// registry lookup — one RLock + map probe, measured at well under 1% of any
-// query evaluation (see BenchmarkCollectionRouting) — so a single process
+// registry lookup — one RLock + map probe, part of benchmark/'s
+// engine.search.self_ms, a rounding error next to evaluation — so one process
 // serves many independently-maintained graphs behind one versioned surface.
 
 // DefaultCollection is the collection name served by the unsuffixed

@@ -3,8 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
-	"testing"
 	"time"
 
 	"github.com/acq-search/acq/internal/baseline"
@@ -40,178 +38,6 @@ func Fig13(ds *Dataset, fracs []float64) *Table {
 		)
 	}
 	return t
-}
-
-// IndexParallel measures the parallel CL-tree pipeline against the serial
-// build — the PR-level extension of Figure 13: one row per worker count,
-// ns/op and bytes/op via testing.Benchmark, and the speedup relative to the
-// workers=1 serial baseline. The returned samples carry the raw measurements
-// for the -json artifact.
-func IndexParallel(ds *Dataset, workerCounts []int) (*Table, []Sample) {
-	t := &Table{
-		ID:     "index-parallel",
-		Title:  fmt.Sprintf("CL-tree build, serial vs parallel (%s, %d vertices, %d edges)", ds.Name, ds.G.NumVertices(), ds.G.NumEdges()),
-		Header: []string{"workers", "ms/op", "KB/op", "allocs/op", "speedup"},
-	}
-	var samples []Sample
-	results := make([]testing.BenchmarkResult, len(workerCounts))
-	for i, w := range workerCounts {
-		results[i] = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.BuildAdvancedOpts(ds.G, core.BuildOptions{Workers: w})
-			}
-		})
-	}
-	// The speedup baseline is the workers=1 serial measurement wherever it
-	// appears in the sweep; without one the column stays empty rather than
-	// silently re-anchoring on an arbitrary row.
-	serialNs := 0.0
-	for i, w := range workerCounts {
-		if w == 1 {
-			serialNs = float64(results[i].NsPerOp())
-			break
-		}
-	}
-	for i, w := range workerCounts {
-		res := results[i]
-		ns := float64(res.NsPerOp())
-		speedup := "-"
-		if serialNs > 0 {
-			speedup = fmt.Sprintf("%.2fx", serialNs/ns)
-		}
-		t.AddRow(strconv.Itoa(w),
-			ms(ns/1e6),
-			fmt.Sprintf("%.0f", float64(res.AllocedBytesPerOp())/1024),
-			strconv.FormatInt(res.AllocsPerOp(), 10),
-			speedup,
-		)
-		samples = append(samples, Sample{
-			Dataset:     ds.Name,
-			Experiment:  "index-parallel",
-			Row:         strconv.Itoa(w),
-			Series:      "BuildAdvancedOpts",
-			NsPerOp:     ns,
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			AllocsPerOp: res.AllocsPerOp(),
-		})
-	}
-	return t, samples
-}
-
-// SnapshotPublish measures snapshot publication with the frozen CSR path
-// against the legacy deep clone — the PR-level experiment behind the frozen
-// read path: one row per (worker count, series) with ns/op, KB/op and
-// allocs/op via testing.Benchmark. The freeze series publishes the way the
-// serving path does (Graph.FreezeReuse + Tree.CloneOpts onto the frozen
-// view, reusing the dictionary as steady-state republication would); the
-// deep-clone series is the pre-CSR publication (Graph.CloneWorkers +
-// Tree.CloneOpts). freeze-only isolates the graph copy, whose adjacency and
-// keyword payloads land in four flat arrays — O(1) allocations — where the
-// deep clone allocated two slices per vertex.
-func SnapshotPublish(ds *Dataset, workerCounts []int) (*Table, []Sample) {
-	t := &Table{
-		ID: "snapshot-publish",
-		Title: fmt.Sprintf("snapshot publication: frozen CSR vs deep clone (%s, %d vertices, %d edges)",
-			ds.Name, ds.G.NumVertices(), ds.G.NumEdges()),
-		Header: []string{"workers", "series", "ms/op", "KB/op", "allocs/op"},
-	}
-	var samples []Sample
-	prev := ds.G.Freeze(1)
-	for _, w := range workerCounts {
-		runs := []struct {
-			name string
-			fn   func()
-		}{
-			{"freeze-only", func() { ds.G.FreezeReuse(w, prev) }},
-			{"freeze+tree", func() {
-				fz := ds.G.FreezeReuse(w, prev)
-				ds.Tree.CloneOpts(fz, core.BuildOptions{Workers: w})
-			}},
-			{"deepclone+tree", func() {
-				g2 := ds.G.CloneWorkers(w)
-				ds.Tree.CloneOpts(g2, core.BuildOptions{Workers: w})
-			}},
-		}
-		for _, run := range runs {
-			fn := run.fn
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					fn()
-				}
-			})
-			ns := float64(res.NsPerOp())
-			t.AddRow(strconv.Itoa(w), run.name,
-				ms(ns/1e6),
-				fmt.Sprintf("%.0f", float64(res.AllocedBytesPerOp())/1024),
-				strconv.FormatInt(res.AllocsPerOp(), 10),
-			)
-			samples = append(samples, Sample{
-				Dataset:     ds.Name,
-				Experiment:  "snapshot-publish",
-				Row:         strconv.Itoa(w),
-				Series:      run.name,
-				NsPerOp:     ns,
-				BytesPerOp:  res.AllocedBytesPerOp(),
-				AllocsPerOp: res.AllocsPerOp(),
-			})
-		}
-	}
-	return t, samples
-}
-
-// FrozenQuery compares the hot query loop on the two read representations:
-// Dec over the tree bound to the mutable slice-of-slices master versus Dec
-// over the same tree cloned onto the frozen CSR view (what a published
-// snapshot serves). The differential tests guarantee identical answers; the
-// interesting column is ns/op.
-func FrozenQuery(ds *Dataset) (*Table, []Sample) {
-	t := &Table{
-		ID:     "frozen-query",
-		Title:  fmt.Sprintf("Dec query: mutable vs frozen CSR read path (%s)", ds.Name),
-		Header: []string{"series", "ms/op", "KB/op", "allocs/op"},
-	}
-	if len(ds.Queries) == 0 {
-		return t, nil
-	}
-	fz := ds.G.Freeze(0)
-	ftr := ds.Tree.Clone(fz)
-	var samples []Sample
-	for _, run := range []struct {
-		name string
-		tree *core.Tree
-	}{
-		{"mutable", ds.Tree},
-		{"frozen", ftr},
-	} {
-		tree := run.tree
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q := ds.Queries[i%len(ds.Queries)]
-				if _, err := core.Dec(bgCtx, tree, q, int(ds.MinCore), nil, core.DefaultOptions()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		ns := float64(res.NsPerOp())
-		t.AddRow(run.name,
-			ms(ns/1e6),
-			fmt.Sprintf("%.0f", float64(res.AllocedBytesPerOp())/1024),
-			strconv.FormatInt(res.AllocsPerOp(), 10),
-		)
-		samples = append(samples, Sample{
-			Dataset:     ds.Name,
-			Experiment:  "frozen-query",
-			Row:         run.name,
-			Series:      "Dec",
-			NsPerOp:     ns,
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			AllocsPerOp: res.AllocsPerOp(),
-		})
-	}
-	return t, samples
 }
 
 // queriesWithCore filters the workload to vertices whose core number

@@ -13,8 +13,8 @@ import (
 // ExtTruss compares the structure-cohesiveness measures — the paper's
 // k-core against the conclusion's proposed k-truss and k-clique percolation
 // — on quality (CMF, CPJ, community size) and query time. This is an
-// extension experiment beyond the paper's evaluation (DESIGN.md lists it as
-// the structure-cohesiveness ablation); the expectation is that the stronger
+// extension experiment beyond the paper's evaluation (the
+// structure-cohesiveness ablation); the expectation is that the stronger
 // measures return smaller, denser, at-least-as-cohesive communities at
 // higher query cost.
 func ExtTruss(ds *Dataset) *Table {

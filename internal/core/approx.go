@@ -219,7 +219,7 @@ func DecApprox(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.
 	// shares ≥ |S'| query keywords — so the community is identical, but the
 	// cost is proportional to the community's neighbourhood rather than to
 	// the k-ĉore, which is what lets ε > 0 evaluation undercut the exact
-	// engine (see internal/bench BENCH_pr9_approx_search.json).
+	// engine (compare core.eval.approx_ms with core.eval.core_ms in benchmark/).
 	minCore := int32(k)
 	best, b2 := approxLevels(levels, ap, func(_ int, set []graph.KeywordID) []graph.VertexID {
 		ball := e.ops.ExpandComponentOf(q, func(v graph.VertexID) bool {
