@@ -2,6 +2,7 @@ package acq
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -91,11 +92,8 @@ type Graph struct {
 	cacheSize int
 	stats     *cacheStats
 
-	// buildWorkers is the default parallel fan-out for index builds and
-	// copy-on-write snapshot publication (0 = auto, 1 = serial); guarded by
-	// mu. The last-build and last-publication telemetry is atomic so metrics
+	// The last-build and last-publication telemetry is atomic so metrics
 	// scrapers can read it without taking the mutator lock.
-	buildWorkers      int
 	lastBuildNanos    atomic.Int64
 	lastBuildWorkers  atomic.Int32
 	lastPublishNanos  atomic.Int64
@@ -252,11 +250,12 @@ func Load(r io.Reader) (*Graph, error) {
 	return newGraph(g, nil), nil
 }
 
-// LoadSnapshot reads a binary snapshot file written by SaveSnapshot,
-// restoring the prebuilt index when one was stored. (File snapshots are
-// unrelated to the in-memory Snapshot type used for concurrent serving.)
+// LoadSnapshot reads a snapshot file written by SaveSnapshot (or a durable
+// collection's snapshot.acqm), restoring the prebuilt index when one was
+// stored. The graph starts at version 0. (File snapshots are unrelated to the
+// in-memory Snapshot type used for concurrent serving.)
 func LoadSnapshot(r io.Reader) (*Graph, error) {
-	g, tree, err := dataio.ReadSnapshot(r)
+	g, tree, err := dataio.ReadMapped(r)
 	if err != nil {
 		return nil, err
 	}
@@ -266,16 +265,30 @@ func LoadSnapshot(r io.Reader) (*Graph, error) {
 // Save writes the graph in the text interchange format.
 func (G *Graph) Save(w io.Writer) error { return dataio.WriteText(w, G.view().g) }
 
-// SaveSnapshot writes the graph and, if built, the index as a binary
-// snapshot file.
-func (G *Graph) SaveSnapshot(w io.Writer) error {
-	v := G.view()
-	return dataio.WriteSnapshot(w, v.g, v.tree)
+// SaveSnapshot writes the graph and, if built, the index as a snapshot file
+// in the mapped container format (.acqm) that durable collections use.
+func (G *Graph) SaveSnapshot(w io.Writer) error { return G.view().saveSnapshot(w) }
+
+// saveSnapshot writes v's graph and tree as a mapped container; whichever
+// representation v holds, it is flattened into one CSR first.
+func (v view) saveSnapshot(w io.Writer) error {
+	var fz *graph.Frozen
+	switch g := v.g.(type) {
+	case *graph.Frozen:
+		fz = g
+	case *graph.Overlay:
+		fz = g.Materialize(1)
+	case *graph.Graph:
+		fz = g.Freeze(1)
+	default:
+		return fmt.Errorf("acq: cannot snapshot graph representation %T", v.g)
+	}
+	return dataio.WriteMapped(w, fz, dataio.FlattenTree(v.tree), 0)
 }
 
 // Synthetic generates one of the built-in synthetic dataset analogues
 // (flickr, dblp, tencent, dbpedia) at the given scale (1.0 = the default
-// laptop-scale size; see DESIGN.md).
+// laptop-scale size; see internal/datagen).
 func Synthetic(preset string, scale float64) (*Graph, error) {
 	cfg, err := datagen.Preset(preset)
 	if err != nil {
@@ -300,16 +313,21 @@ const (
 type BuildOptions struct {
 	// Method selects the construction algorithm (default IndexAdvanced).
 	Method IndexMethod
-	// Workers bounds the parallel fan-out of the advanced build's
-	// parallelisable phases: 0 uses the graph's default (SetBuildWorkers,
-	// itself defaulting to auto = one worker per CPU on large graphs),
-	// 1 forces the serial path, negative values force auto. The built tree
-	// is identical for every worker count. IndexBasic is always serial.
-	Workers int
 }
 
-// BuildIndex constructs the CL-tree with the advanced method and the graph's
-// default worker setting.
+// buildWorkers is the fan-out of index builds and snapshot publication. Its
+// only value outside tests is 0, which sizes the pool automatically: one
+// worker per CPU, serial below core.ParallelThreshold. Tests force other
+// counts (export_test.go) to exercise the parallel paths on small graphs;
+// every count yields identical trees and snapshots.
+var buildWorkers atomic.Int32
+
+// buildOptions returns the worker sizing for builds, clones and freezes.
+func buildOptions() core.BuildOptions {
+	return core.BuildOptions{Workers: int(buildWorkers.Load())}
+}
+
+// BuildIndex constructs the CL-tree with the advanced method.
 func (G *Graph) BuildIndex() { G.BuildIndexOpts(BuildOptions{}) }
 
 // BuildIndexWith constructs the CL-tree with the chosen method, replacing
@@ -322,19 +340,12 @@ func (G *Graph) BuildIndexOpts(o BuildOptions) {
 	G.mu.Lock()
 	defer G.mu.Unlock()
 	G.ensureMasterLocked()
-	workers := o.Workers
-	if workers == 0 {
-		workers = G.buildWorkers
-	}
-	if workers < 0 {
-		workers = 0 // auto: one per CPU above the size threshold
-	}
 	start := time.Now()
 	if o.Method == IndexBasic {
 		G.tree = core.BuildBasic(G.g)
 		G.lastBuildWorkers.Store(1)
 	} else {
-		opts := core.BuildOptions{Workers: workers}
+		opts := buildOptions()
 		G.tree = core.BuildAdvancedOpts(G.g, opts)
 		G.lastBuildWorkers.Store(int32(opts.ResolvedWorkers(G.g)))
 	}
@@ -349,19 +360,6 @@ func (G *Graph) BuildIndexOpts(o BuildOptions) {
 		G.patchDirty = map[graph.VertexID]struct{}{}
 	}
 	G.mutatedLocked()
-}
-
-// SetBuildWorkers sets the default parallel fan-out used by BuildIndex and by
-// copy-on-write snapshot publication: 0 (the initial value) sizes the pool
-// automatically — one worker per CPU, serial below the size threshold — and
-// 1 forces the serial path everywhere.
-func (G *Graph) SetBuildWorkers(n int) {
-	G.mu.Lock()
-	defer G.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	G.buildWorkers = n
 }
 
 // IndexBuildStats reports the wall-clock duration of the most recent index
@@ -529,12 +527,12 @@ func (G *Graph) publishLocked() *Snapshot {
 // Callers hold G.mu. Freezing costs O(n+m) sequential copying but only a
 // handful of allocations — adjacency and keyword payloads land in four flat
 // arrays — so republication under a write burst no longer scales the
-// garbage collector's work with the vertex count. The copy fans out over the
-// graph's build-worker setting. COW mutation still runs on the mutable
+// garbage collector's work with the vertex count. The copy fans out over
+// the auto-sized build workers. COW mutation still runs on the mutable
 // master; the frozen form is publication-only.
 func (G *Graph) publishFullLocked() *Snapshot {
 	start := time.Now()
-	workers := core.BuildOptions{Workers: G.buildWorkers}.ResolvedWorkers(G.g)
+	workers := buildOptions().ResolvedWorkers(G.g)
 	var prev *graph.Frozen
 	if old := G.snap.Load(); old != nil {
 		switch pg := old.v.g.(type) {

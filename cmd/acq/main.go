@@ -6,13 +6,13 @@
 //	acq gen -preset dblp -scale 1.0 -out graph.txt
 //	    Generate a synthetic attributed graph in the text format.
 //
-//	acq index -in graph.txt -out graph.snap [-method advanced|basic]
-//	    Build the CL-tree index and write a binary snapshot.
+//	acq index -in graph.txt -out graph.acqm [-method advanced|basic]
+//	    Build the CL-tree index and write an .acqm snapshot.
 //
-//	acq stats -in graph.txt|graph.snap
+//	acq stats -in graph.txt|graph.acqm
 //	    Print graph and index statistics (Table 3 style).
 //
-//	acq query -in graph.snap -q <vertex> -k 6 [-s kw1,kw2] [-algo dec]
+//	acq query -in graph.acqm -q <vertex> -k 6 [-s kw1,kw2] [-algo dec]
 //	    Run an attributed community query and print the communities.
 //	    -mode selects the community model (core|fixed|threshold|clique|
 //	    similar|truss) with -theta/-tau as its parameters; -timeout bounds
@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	acq "github.com/acq-search/acq"
+	"github.com/acq-search/acq/engine"
 )
 
 func main() {
@@ -59,9 +60,9 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: acq <gen|index|stats|query> [flags]
   gen    -preset dblp -scale 1.0 -out graph.txt
-  index  -in graph.txt -out graph.snap [-method advanced|basic]
-  stats  -in graph.txt|graph.snap
-  query  -in graph.snap -q <vertex> -k 6 [-s kw1,kw2] [-algo dec|inc-s|inc-t|basic-g|basic-w]
+  index  -in graph.txt -out graph.acqm [-method advanced|basic]
+  stats  -in graph.txt|graph.acqm
+  query  -in graph.acqm -q <vertex> -k 6 [-s kw1,kw2] [-algo dec|inc-s|inc-t|basic-g|basic-w]
          [-mode core|fixed|threshold|clique|similar|truss] [-theta 0.6] [-tau 0.5]
          [-timeout 5s]`)
 	os.Exit(2)
@@ -199,15 +200,7 @@ func loadAny(path string) (*acq.Graph, error) {
 	if path == "" {
 		return nil, fmt.Errorf("missing -in")
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".snap") {
-		return acq.LoadSnapshot(f)
-	}
-	return acq.Load(f)
+	return engine.LoadFile(path)
 }
 
 func openOut(path string) (*os.File, func(), error) {

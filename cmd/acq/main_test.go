@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -42,6 +43,10 @@ func TestCmdGenIndexStatsQuery(t *testing.T) {
 	}
 	if err := cmdIndex([]string{"-in", txt, "-out", snap}); err != nil {
 		t.Fatal(err)
+	}
+	// The file name does not pick the format: index always writes .acqm.
+	if data, err := os.ReadFile(snap); err != nil || !bytes.HasPrefix(data, []byte("ACQM")) {
+		t.Fatalf("index output is not an ACQM container (err %v)", err)
 	}
 	if err := cmdIndex([]string{"-in", txt, "-out", snap, "-method", "basic"}); err != nil {
 		t.Fatal(err)

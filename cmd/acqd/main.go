@@ -19,10 +19,10 @@
 //
 // Usage:
 //
-//	acqd -in graph.snap [-addr :8475]
+//	acqd -in graph.acqm [-addr :8475]
 //	acqd -preset dblp -scale 0.5          # serve a synthetic dataset
 //	acqd -preset dblp -default-timeout 5s -max-timeout 30s
-//	acqd -in main.snap -collection wiki=wiki.snap \
+//	acqd -in main.acqm -collection wiki=wiki.acqm \
 //	     -collection social=preset:flickr@0.5    # multi-dataset serving
 //	acqd -preset dblp -data-dir /var/lib/acqd   # durable: WAL + recovery
 //	acqd -data-dir /var/lib/acqd                # recover-only boot
@@ -62,7 +62,7 @@ func (c *collectionFlags) Set(v string) error {
 }
 
 // parseCollectionSpec splits one -collection value. The syntax is
-// name=SOURCE where SOURCE is a graph file path (text or .snap) or
+// name=SOURCE where SOURCE is a graph file path (text or .acqm) or
 // preset:NAME[@scale] for a synthetic dataset.
 func parseCollectionSpec(v string) (name string, src engine.Source, err error) {
 	name, sourceArg, ok := strings.Cut(v, "=")
@@ -88,13 +88,12 @@ func parseCollectionSpec(v string) (name string, src engine.Source, err error) {
 }
 
 func main() {
-	in := flag.String("in", "", "default collection's graph file (text or .snap)")
+	in := flag.String("in", "", "default collection's graph file (text or an .acqm snapshot)")
 	preset := flag.String("preset", "", "serve a synthetic preset as the default collection instead of a file")
 	scale := flag.Float64("scale", 1.0, "synthetic preset scale")
 	addr := flag.String("addr", engine.DefaultAddr, "listen address")
 	cache := flag.Int("cache", 0, "per-snapshot result cache size (0 = default, negative disables)")
 	workers := flag.Int("batch-workers", 0, "worker pool size for batch endpoints (0 = one per CPU)")
-	buildWorkers := flag.Int("workers", 0, "parallel fan-out for index builds and snapshot publication (0 = auto, 1 = serial)")
 	defaultTimeout := flag.Duration("default-timeout", 0, "query timeout applied when a request asks for none (0 = no default)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on client-requested query timeouts (0 = no cap)")
 	maxBatch := flag.Int("max-batch-queries", 0, "max queries accepted per batch request (0 = default, negative = unlimited)")
@@ -138,7 +137,6 @@ func main() {
 		Addr:                 *addr,
 		CacheSize:            *cache,
 		BatchWorkers:         *workers,
-		BuildWorkers:         *buildWorkers,
 		DefaultTimeout:       *defaultTimeout,
 		MaxTimeout:           *maxTimeout,
 		MaxBatchQueries:      *maxBatch,

@@ -25,6 +25,10 @@ func TestLoadSourceErrors(t *testing.T) {
 	if _, err := engine.LoadSource("", "no-such-preset", 1.0); err == nil {
 		t.Fatal("LoadSource accepted an unknown preset")
 	}
+	// A gob snapshot from before .acqm was the only binary format.
+	if _, err := engine.LoadSource("../../internal/dataio/testdata/legacy-gob.snap", "", 1.0); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("legacy gob snapshot: error = %v, want one naming the bad magic", err)
+	}
 }
 
 // TestServeFromFile walks the acqd bootstrap end to end: write a graph file,

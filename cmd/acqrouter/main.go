@@ -17,14 +17,15 @@
 //	    -replicas http://r1:8476,http://r2:8477 [-listen :8480]
 //
 // Reads are GET requests and the POST search/batch endpoints (/v1/search,
-// /v1/batch, /v1/collections/{name}/search|batch, legacy /batch); every
-// other request is a write and goes to the leader only. Replication-plane
+// /v1/batch, /v1/collections/{name}/search|batch); every other request is a
+// write and goes to the leader only. Replication-plane
 // reads (/v1/replication/*) also pin to the leader so chained followers see
 // one consistent history.
 package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -125,7 +126,7 @@ func isRead(r *http.Request) bool {
 		return false
 	}
 	p := r.URL.Path
-	return p == "/v1/search" || p == "/v1/batch" || p == "/batch" ||
+	return p == "/v1/search" || p == "/v1/batch" ||
 		(strings.HasPrefix(p, "/v1/collections/") &&
 			(strings.HasSuffix(p, "/search") || strings.HasSuffix(p, "/batch")))
 }
@@ -157,8 +158,8 @@ func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		body, err = io.ReadAll(io.LimitReader(r.Body, rt.maxBody+1))
 		r.Body.Close()
 		if err != nil || int64(len(body)) > rt.maxBody {
-			http.Error(w, fmt.Sprintf(`{"error":{"code":"body_too_large","message":"router buffers at most %d bytes"}}`, rt.maxBody),
-				http.StatusRequestEntityTooLarge)
+			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+				fmt.Sprintf("router buffers at most %d bytes", rt.maxBody))
 			return
 		}
 	}
@@ -190,7 +191,15 @@ func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	log.Printf("acqrouter: %s %s: no backend reachable: %v", r.Method, r.URL.Path, lastErr)
-	http.Error(w, `{"error":{"code":"no_backend","message":"no backend reachable"}}`, http.StatusBadGateway)
+	writeError(w, http.StatusBadGateway, "no_backend", "no backend reachable")
+}
+
+// writeError answers with the structured error envelope the backends use,
+// labelled as the JSON it is.
+func writeError(w http.ResponseWriter, status int, code, message string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(map[string]any{"error": map[string]string{"code": code, "message": message}})
 }
 
 func (rt *router) markUnhealthy(base string) {

@@ -74,13 +74,30 @@
 //	q.Mode, q.Theta = acq.ModeThreshold, 0.5
 //	g.Search(ctx, q)                                      // after
 //
-// The HTTP surface completed the same sunset in this release: the single-op
-// write endpoints POST /v1/edges and /v1/keywords (with their
-// per-collection forms and legacy /edges, /keywords aliases) and the legacy
-// GET /query now answer a structured 410 endpoint_removed naming the
-// replacement. Writes move to POST /v1/mutations — each former call becomes
-// a one-element batch ({"op":"insert_edge","u":...,"v":...} and friends) —
-// and queries to POST /v1/search.
+// # Removed formats, endpoints and knobs
+//
+// Three more surfaces are gone:
+//
+//   - The gob snapshot format. SaveSnapshot writes, and LoadSnapshot reads,
+//     the .acqm container that durable collections checkpoint to, so one
+//     parser serves saved files, checkpoints and replica bootstraps. A gob
+//     .snap file from an older release fails with a bad-magic error; re-save
+//     it from its text form with acq index, or load the text and call
+//     SaveSnapshot. engine.LoadFile (and acq/acqd -in) pick the format from
+//     the ACQM magic, not the file name.
+//   - The pre-v1 HTTP endpoints. POST /batch, GET /stats and the routes that
+//     answered 410 endpoint_removed (POST /edges, /keywords, /v1/edges,
+//     /v1/keywords and their per-collection forms, GET /query) now get the
+//     mux's 404 or 405. Send batches to POST /v1/batch ("vertex" for "q",
+//     "keywords" for "s"), read stats from GET /v1/collections/default, and
+//     send each former single-op write as a one-entry POST /v1/mutations
+//     batch ({"op":"insert_edge","u":...,"v":...} and friends).
+//   - The build-worker knobs Graph.SetBuildWorkers, BuildOptions.Workers,
+//     engine.Config.BuildWorkers and acqd -workers. Index builds and
+//     snapshot publication always size their pool automatically — one
+//     worker per CPU, serial on small graphs — which is what the zero
+//     values already did; every worker count builds the identical tree.
+//     Drop the calls and flags.
 //
 // # Durability
 //

@@ -629,7 +629,7 @@ func (G *Graph) checkpointOnce() error {
 	if G.base != nil && G.deltaOps.Load() == 0 {
 		fz = G.base
 	} else {
-		workers := core.BuildOptions{Workers: G.buildWorkers}.ResolvedWorkers(G.g)
+		workers := buildOptions().ResolvedWorkers(G.g)
 		fz = G.g.FreezeReuse(workers, G.base)
 	}
 	ft := dataio.FlattenTree(G.tree)

@@ -114,7 +114,7 @@ func TestCollectionLifecycle(t *testing.T) {
 	}
 	var info struct {
 		collectionInfo
-		Stats *struct{ Vertices, Edges int } `json:"stats"`
+		Stats *struct{ Vertices, Edges, KMax int } `json:"stats"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestCollectionLifecycle(t *testing.T) {
 	if info.State != "ready" || !info.HasIndex || info.Vertices != 3 || info.Edges != 3 {
 		t.Fatalf("info = %+v", info)
 	}
-	if info.Stats == nil || info.Stats.Vertices != 3 {
+	if info.Stats == nil || info.Stats.Vertices != 3 || info.Stats.Edges != 3 || info.Stats.KMax != 2 {
 		t.Fatalf("stats = %+v", info.Stats)
 	}
 
@@ -360,7 +360,7 @@ func TestHealthzReadiness(t *testing.T) {
 }
 
 // TestNoDefaultCollection: an engine without a default collection serves
-// structured collection_not_found on the sugar and legacy routes.
+// structured collection_not_found on the sugar routes.
 func TestNoDefaultCollection(t *testing.T) {
 	e := New(nil, Config{Logf: func(string, ...any) {}})
 	if e.Graph() != nil {
@@ -371,9 +371,9 @@ func TestNoDefaultCollection(t *testing.T) {
 	if rec.Code != http.StatusNotFound || decodeErr(t, rec).Code != codeCollectionNotFound {
 		t.Fatalf("sugar search: %d %s", rec.Code, rec.Body)
 	}
-	for _, req := range [][2]string{{"GET", "/stats"}, {"POST", "/batch"}, {"POST", "/v1/mutations"}} {
+	for _, req := range [][2]string{{"POST", "/v1/batch"}, {"POST", "/v1/mutations"}} {
 		rec := do(t, h, req[0], req[1], `{}`)
-		if rec.Code != http.StatusNotFound {
+		if rec.Code != http.StatusNotFound || decodeErr(t, rec).Code != codeCollectionNotFound {
 			t.Fatalf("%s %s without default: %d %s", req[0], req[1], rec.Code, rec.Body)
 		}
 	}
@@ -381,8 +381,7 @@ func TestNoDefaultCollection(t *testing.T) {
 
 // TestMutationBodyLimit: oversized mutation bodies get the structured 413
 // before any parsing or graph work. (The wider mutation protocol —
-// per-item results, errors, cancellation — lives in mutations_test.go; the
-// retired single-op endpoints are pinned to 410 in TestRemovedEndpoints.)
+// per-item results, errors, cancellation — lives in mutations_test.go.)
 func TestMutationBodyLimit(t *testing.T) {
 	small := New(testGraph(t), Config{MaxBodyBytes: 8, Logf: func(string, ...any) {}})
 	rec := do(t, small.Handler(), "POST", "/v1/mutations", `{"mutations":[{"op":"insert_edge","u":"loner","v":"jack"}]}`)

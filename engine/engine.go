@@ -28,12 +28,9 @@
 // JSON batch of insert_edge/remove_edge/add_keyword/remove_keyword
 // operations, applied under a single lock hold with per-item results and
 // exactly one snapshot publication per batch. It is the only write
-// endpoint: the deprecated single-operation endpoints POST /v1/edges and
-// /v1/keywords (and the legacy /edges, /keywords and GET /query aliases)
-// completed their one-release compatibility window and now answer a
-// structured 410 endpoint_removed. Migration: send each former single-op
-// body as a one-entry mutations batch, and former GET /query requests as
-// POST /v1/search.
+// endpoint. The v1 routes plus /metrics and /healthz are the whole HTTP
+// surface; the pre-v1 endpoints are gone and answer the mux's 404 or 405
+// (see the acq package documentation for the migration).
 //
 // # Durability
 //
@@ -69,16 +66,18 @@
 package engine
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	acq "github.com/acq-search/acq"
+	"github.com/acq-search/acq/internal/dataio"
 )
 
 // Config tunes the engine. The zero value serves on DefaultAddr with default
@@ -89,14 +88,10 @@ type Config struct {
 	// CacheSize is the per-snapshot query-result cache capacity: 0 keeps
 	// acq.DefaultResultCacheSize, negative disables result caching.
 	CacheSize int
-	// BatchWorkers bounds the worker pool of POST /v1/batch (and the legacy
-	// /batch); ≤ 0 means one worker per CPU. Clients may request fewer
-	// workers than this bound, never more.
+	// BatchWorkers bounds the worker pool of POST /v1/batch; ≤ 0 means one
+	// worker per CPU. Clients may request fewer workers than this bound,
+	// never more.
 	BatchWorkers int
-	// BuildWorkers bounds the parallel fan-out of index construction and
-	// copy-on-write snapshot republication: 0 sizes it automatically (one
-	// worker per CPU on large graphs), 1 forces the serial build.
-	BuildWorkers int
 	// DefaultTimeout bounds each query evaluation when the request does not
 	// ask for a timeout itself (single queries via their request deadline,
 	// batch queries via an implied per-query timeout); 0 means no default.
@@ -448,11 +443,6 @@ func (e *Engine) CreateCollection(name string, src Source) (*Collection, error) 
 // prepare applies the engine configuration to a freshly loaded graph, builds
 // its index when missing, and publishes the first snapshot.
 func (e *Engine) prepare(name string, g *acq.Graph) {
-	if e.cfg.BuildWorkers != 0 {
-		// Leave the zero value alone: a caller may have configured the graph's
-		// worker setting before handing it to the engine.
-		g.SetBuildWorkers(e.cfg.BuildWorkers)
-	}
 	if !g.HasIndex() {
 		e.cfg.Logf("engine: building CL-tree index for collection %q...", name)
 		g.BuildIndex()
@@ -498,19 +488,25 @@ func Serve(g *acq.Graph, cfg Config) error {
 	return New(g, cfg).ListenAndServe()
 }
 
-// LoadFile reads a graph from disk: binary snapshot files (".snap", written
-// by acq.Graph.SaveSnapshot) restore their prebuilt index, anything else is
-// parsed as the text interchange format.
+// LoadFile reads a graph from disk. The format is picked from the content,
+// not the name: an .acqm snapshot (written by acq.Graph.SaveSnapshot, or a
+// durable collection's snapshot.acqm) restores its prebuilt index, and
+// anything else is parsed as the text interchange format.
 func LoadFile(path string) (*acq.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".snap") {
-		return acq.LoadSnapshot(f)
+	br := bufio.NewReader(f)
+	// Text graphs never contain a NUL byte, so any binary file goes to the
+	// snapshot reader, which names the bad magic of one that is not .acqm
+	// (such as a gob snapshot from an older release).
+	head, _ := br.Peek(512)
+	if bytes.HasPrefix(head, []byte(dataio.MappedMagic)) || bytes.IndexByte(head, 0) >= 0 {
+		return acq.LoadSnapshot(br)
 	}
-	return acq.Load(f)
+	return acq.Load(br)
 }
 
 // LoadSource resolves the two bootstrap flags of cmd/acqd: a synthetic

@@ -44,64 +44,30 @@ func do(t testing.TB, h http.Handler, method, target, body string) *httptest.Res
 	return rec
 }
 
-func TestHandleStats(t *testing.T) {
-	h := testEngine(t).Handler()
-	rec := do(t, h, "GET", "/stats", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	var st acq.Stats
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Vertices != 5 || st.Edges != 6 || st.KMax != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestRemovedEndpoints pins the sunset contract: every retired route — the
-// legacy unversioned trio and the v1 single-op endpoints — answers a
-// structured 410 naming its replacement, for default and named collections
-// alike.
+// TestRemovedEndpoints pins the end of the pre-v1 surface: the legacy
+// POST /batch and GET /stats, and the routes that answered 410 for one
+// release, are not mounted at all, so the mux answers them with its own 404
+// or 405 while the v1 routes keep working.
 func TestRemovedEndpoints(t *testing.T) {
 	h := testEngine(t).Handler()
-	cases := []struct {
-		method, target, replacement string
-	}{
-		{"GET", "/query?q=jack&k=3", "/v1/search"},
-		{"POST", "/edges", "/v1/mutations"},
-		{"POST", "/keywords", "/v1/mutations"},
-		{"POST", "/v1/edges", "/v1/mutations"},
-		{"POST", "/v1/keywords", "/v1/mutations"},
-		{"POST", "/v1/collections/default/edges", "/v1/mutations"},
-		{"POST", "/v1/collections/default/keywords", "/v1/mutations"},
-	}
-	for _, c := range cases {
-		rec := do(t, h, c.method, c.target, `{"op":"insert","u":"loner","v":"jack"}`)
-		if rec.Code != http.StatusGone {
-			t.Errorf("%s %s: status = %d, want 410 (%s)", c.method, c.target, rec.Code, rec.Body)
-			continue
-		}
-		var resp struct {
-			Error *wireError `json:"error"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("%s %s: bad body %q: %v", c.method, c.target, rec.Body, err)
-		}
-		if resp.Error == nil || resp.Error.Code != codeEndpointRemoved {
-			t.Errorf("%s %s: error = %+v, want code %q", c.method, c.target, resp.Error, codeEndpointRemoved)
-			continue
-		}
-		if !strings.Contains(resp.Error.Message, c.replacement) {
-			t.Errorf("%s %s: message %q does not name replacement %s", c.method, c.target, resp.Error.Message, c.replacement)
+	for _, c := range [][2]string{
+		{"POST", "/batch"},
+		{"GET", "/stats"},
+		{"GET", "/query?q=jack&k=3"},
+		{"POST", "/edges"},
+		{"POST", "/keywords"},
+		{"POST", "/v1/edges"},
+		{"POST", "/v1/keywords"},
+		{"POST", "/v1/collections/default/edges"},
+		{"POST", "/v1/collections/default/keywords"},
+	} {
+		rec := do(t, h, c[0], c[1], `{"queries":[{"q":"jack","k":3}]}`)
+		if rec.Code != http.StatusNotFound && rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status = %d, want the mux's 404 or 405 (%s)", c[0], c[1], rec.Code, rec.Body)
 		}
 	}
-	// Removal must not have taken the kept routes with it.
-	if rec := do(t, h, "GET", "/stats", ""); rec.Code != http.StatusOK {
-		t.Fatalf("GET /stats: %d", rec.Code)
-	}
-	if rec := do(t, h, "POST", "/batch", `{"queries":[{"q":"jack","k":3}]}`); rec.Code != http.StatusOK {
-		t.Fatalf("POST /batch: %d %s", rec.Code, rec.Body)
+	if rec := do(t, h, "POST", "/v1/batch", `{"queries":[{"vertex":"jack","k":3}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("POST /v1/batch: %d %s", rec.Code, rec.Body)
 	}
 }
 
@@ -133,59 +99,6 @@ func TestUpdateThenQuery(t *testing.T) {
 	json.Unmarshal(rec.Body.Bytes(), &resp)
 	if resp.Result == nil || len(resp.Result.Communities) != 1 || len(resp.Result.Communities[0].Members) != 5 {
 		t.Fatalf("loner's community = %s", rec.Body)
-	}
-}
-
-func TestHandleBatch(t *testing.T) {
-	h := testEngine(t).Handler()
-	body := `{"queries":[{"q":"jack","k":3},{"q":"ghost","k":3},{"q":"bob","k":3,"s":["research","sports"]},{"k":3}]}`
-	rec := do(t, h, "POST", "/batch", body)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d %s", rec.Code, rec.Body)
-	}
-	var resp struct {
-		Version uint64 `json:"version"`
-		Results []struct {
-			Result *acq.Result `json:"result"`
-			Error  string      `json:"error"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != 4 {
-		t.Fatalf("results = %d", len(resp.Results))
-	}
-	if resp.Results[0].Result == nil || len(resp.Results[0].Result.Communities) != 1 {
-		t.Fatalf("result[0] = %+v", resp.Results[0])
-	}
-	if resp.Results[1].Error == "" {
-		t.Fatal("ghost query should report an error")
-	}
-	if resp.Results[2].Result == nil {
-		t.Fatalf("result[2] = %+v", resp.Results[2])
-	}
-	// Neither label nor ID: a per-item error, not a silent vertex-0 query.
-	if !strings.Contains(resp.Results[3].Error, "missing q") {
-		t.Fatalf("result[3] = %+v, want missing-address error", resp.Results[3])
-	}
-
-	// Client-requested workers are clamped by the operator bound — a huge
-	// value must not fan out past BatchWorkers (and must still succeed).
-	capped := New(testGraph(t), Config{BatchWorkers: 1, Logf: func(string, ...any) {}})
-	rec = do(t, capped.Handler(), "POST", "/batch", `{"queries":[{"q":"jack","k":3},{"q":"bob","k":3}],"workers":100000}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("capped batch: %d %s", rec.Code, rec.Body)
-	}
-
-	// Empty batch: no workers, still a valid response.
-	rec = do(t, h, "POST", "/batch", `{"queries":[]}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("empty batch: %d %s", rec.Code, rec.Body)
-	}
-	rec = do(t, h, "POST", "/batch", `garbage`)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("garbage batch accepted: %d", rec.Code)
 	}
 }
 

@@ -30,7 +30,6 @@ const (
 	codeNotLeader          errorCode = "not_leader"           // 403: write against a read replica (message names the leader)
 	codeCollectionExists   errorCode = "collection_exists"    // 409: create against a name already in use
 	codeNotDurable         errorCode = "not_durable"          // 409: checkpoint or replication against a collection without durability
-	codeEndpointRemoved    errorCode = "endpoint_removed"     // 410: the endpoint's deprecation window ended (message names the replacement)
 	codeBodyTooLarge       errorCode = "body_too_large"       // 413: body over `-max-body-bytes`
 	codeOverloaded         errorCode = "overloaded"           // 429: collection at its concurrency quota with a full wait queue (`Retry-After` set)
 	codeCanceled           errorCode = "canceled"             // 499: client disconnected / canceled
@@ -60,7 +59,6 @@ var codeStatus = map[errorCode]int{
 	codeNotLeader:          403,
 	codeCollectionExists:   409,
 	codeNotDurable:         409,
-	codeEndpointRemoved:    410,
 	codeBodyTooLarge:       413,
 	codeOverloaded:         429,
 	codeCanceled:           499,

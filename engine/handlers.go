@@ -18,7 +18,7 @@ import (
 //
 // Versioned protocol (v1) — the supported surface. Collection lifecycle:
 //
-//	POST   /v1/collections        {"name": "wiki", "path": "wiki.snap"} |
+//	POST   /v1/collections        {"name": "wiki", "path": "wiki.acqm"} |
 //	                              {"name": "syn", "preset": "dblp", "scale": 0.5} |
 //	                              {"name": "scratch"}            (empty graph)
 //	GET    /v1/collections        list collections + build states
@@ -60,20 +60,8 @@ import (
 // contexts derive from the request (a client disconnect cancels the search)
 // bounded by the server's default/max timeouts.
 //
-// Removed endpoints: the deprecated single-op write endpoints POST
-// /v1/edges and /v1/keywords (and their per-collection forms), their legacy
-// /edges and /keywords aliases, and the legacy GET /query completed their
-// one-release compatibility window. They answer a structured 410
-// endpoint_removed; writes belong in POST /v1/mutations, queries in
-// POST /v1/search.
-//
-// Legacy endpoints still served:
-//
-//	POST /batch     many queries against one pinned snapshot
-//
 // Unversioned operational endpoints:
 //
-//	GET  /stats     default collection's graph + index summary
 //	GET  /metrics   serving counters, aggregated + per collection
 //	GET  /healthz   readiness: per-collection build/index state plus
 //	                durability state (WAL bytes, checkpoint version); 503
@@ -100,43 +88,10 @@ func (e *Engine) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/replication/collections", e.handleReplicationList)
 	mux.HandleFunc("GET /v1/replication/collections/{name}/snapshot", e.namedCol(e.serveReplicationSnapshot))
 	mux.HandleFunc("GET /v1/replication/collections/{name}/tail", e.namedCol(e.serveReplicationTail))
-	// Removed endpoints: their compatibility window (one release) is up.
-	// Mounted explicitly so clients get a structured 410 pointing at the
-	// replacement instead of a bare mux 404. One registry row per removed
-	// endpoint: route → replacement.
-	for route, replacement := range removedRoutes {
-		mux.HandleFunc(route, goneHandler(replacement))
-	}
-	// Legacy + operational.
-	mux.HandleFunc("GET /stats", e.handleStats)
-	mux.HandleFunc("POST /batch", e.handleBatch)
+	// Operational.
 	mux.HandleFunc("GET /metrics", e.handleMetrics)
 	mux.HandleFunc("GET /healthz", e.handleHealthz)
 	return mux
-}
-
-// removedRoutes is the registry of endpoints whose deprecation window ended:
-// each row maps the dead route to the endpoint that replaced it.
-var removedRoutes = map[string]string{
-	"POST /v1/edges":                       "POST /v1/mutations",
-	"POST /v1/keywords":                    "POST /v1/mutations",
-	"POST /v1/collections/{name}/edges":    "POST /v1/mutations",
-	"POST /v1/collections/{name}/keywords": "POST /v1/mutations",
-	"POST /edges":                          "POST /v1/mutations",
-	"POST /keywords":                       "POST /v1/mutations",
-	"GET /query":                           "POST /v1/search",
-}
-
-// goneHandler answers a removed endpoint with a structured 410 naming its
-// replacement, so old clients fail loudly and actionably rather than with a
-// shapeless 404.
-func goneHandler(replacement string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, codeStatus[codeEndpointRemoved], map[string]any{"error": wireError{
-			Code:    codeEndpointRemoved,
-			Message: fmt.Sprintf("%s %s was removed; use %s instead", r.Method, r.URL.Path, replacement),
-		}})
-	}
 }
 
 // colHandler is a data-plane handler bound to a resolved, ready collection.
@@ -167,15 +122,6 @@ func (e *Engine) withCollection(w http.ResponseWriter, r *http.Request, name str
 		return
 	}
 	h(w, r, c, g)
-}
-
-func (e *Engine) handleStats(w http.ResponseWriter, r *http.Request) {
-	_, g, err := e.resolveReady(DefaultCollection)
-	if err != nil {
-		writeV1Error(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, pin(g).Stats())
 }
 
 // --- Health.
@@ -912,113 +858,8 @@ func (e *Engine) serveMutationsV1(w http.ResponseWriter, r *http.Request, c *Col
 	})
 }
 
-// --- Legacy endpoints (deprecated, one compatibility release). All serve
-// the default collection.
-
-// batchReq is the wire format of the legacy POST /batch. Each query
-// addresses its vertex by label ("q") or dense ID ("id").
-type batchReq struct {
-	Queries []struct {
-		Q    string   `json:"q"`
-		ID   *int32   `json:"id"`
-		K    int      `json:"k"`
-		S    []string `json:"s"`
-		Algo string   `json:"algo"`
-	} `json:"queries"`
-	Workers int `json:"workers"`
-}
-
-// batchItem is one entry of the legacy POST /batch response, in input order.
-type batchItem struct {
-	Result *acq.Result `json:"result,omitempty"`
-	Error  string      `json:"error,omitempty"`
-}
-
-func (e *Engine) handleBatch(w http.ResponseWriter, r *http.Request) {
-	c, g, err := e.resolveReady(DefaultCollection)
-	if err != nil {
-		code, status := errorInfo(err)
-		httpError(w, status, "%s: %v", code, err)
-		return
-	}
-	var req batchReq
-	if err := e.decodeBody(w, r, &req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, "body too large: %v", err)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad body: %v", err)
-		return
-	}
-	if maxQ := e.cfg.maxBatchQueries(); maxQ > 0 && len(req.Queries) > maxQ {
-		httpError(w, http.StatusBadRequest, "batch of %d queries exceeds the server limit of %d", len(req.Queries), maxQ)
-		return
-	}
-	// Validate addressing up front: entries with neither a label nor an ID
-	// get a per-item error instead of silently querying vertex 0.
-	items := make([]batchItem, len(req.Queries))
-	queries := make([]acq.Query, 0, len(req.Queries))
-	itemOf := make([]int, 0, len(req.Queries))
-	for i, q := range req.Queries {
-		if q.Q == "" && q.ID == nil {
-			items[i].Error = "missing q (label) or id (vertex ID)"
-			continue
-		}
-		k := q.K
-		if k == 0 {
-			k = DefaultK
-		}
-		var vid int32
-		if q.ID != nil {
-			vid = *q.ID
-		}
-		queries = append(queries, acq.Query{Vertex: q.Q, VertexID: vid, K: k, Keywords: q.S, Algorithm: acq.Algorithm(q.Algo)})
-		itemOf = append(itemOf, i)
-	}
-
-	ctx, cancel := e.batchContext(r, 0)
-	defer cancel()
-	// Admission applies to the legacy surface too — a shed is a shed, and
-	// the structured 429 envelope is strictly more actionable than the
-	// legacy error string.
-	release, ok := e.admitQuery(w, r, c)
-	if !ok {
-		return
-	}
-	defer release()
-
-	snap := pin(g) // one snapshot for the whole batch
-	start := time.Now()
-	results := snap.SearchBatch(ctx, queries, acq.BatchOptions{
-		Workers:         e.clampWorkers(req.Workers),
-		PerQueryTimeout: e.boundTimeout(0), // server default/max, per query
-	})
-	c.met.batches.Add(1)
-	c.met.batchQueries.Add(uint64(len(queries)))
-	c.met.queryNanos.Add(time.Since(start).Nanoseconds())
-
-	for j := range results {
-		i := itemOf[j]
-		if results[j].Err != nil {
-			c.met.recordBatchItemError(results[j].Err)
-			items[i].Error = results[j].Err.Error()
-		} else {
-			items[i].Result = &results[j].Result
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"version": snap.Version(),
-		"results": items,
-	})
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

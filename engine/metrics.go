@@ -147,8 +147,8 @@ type CollectionMetrics struct {
 // breakdown. The top-level snapshot/index fields describe the default
 // collection, which is the one the unsuffixed endpoints serve.
 type Metrics struct {
-	// Queries counts single-query requests (/v1/search and the legacy
-	// /query); QueryErrors those that failed.
+	// Queries counts single-query requests (POST .../search); QueryErrors
+	// those that failed.
 	Queries     uint64 `json:"queries"`
 	QueryErrors uint64 `json:"query_errors"`
 	// CanceledQueries counts evaluations stopped because the caller went
@@ -165,9 +165,9 @@ type Metrics struct {
 	Batches          uint64 `json:"batches"`
 	BatchQueries     uint64 `json:"batch_queries"`
 	BatchQueryErrors uint64 `json:"batch_query_errors"`
-	// Updates counts applied edge/keyword updates (single-op endpoints count
-	// one each, batched mutations one per entry applied); MutationBatches
-	// counts POST .../mutations requests.
+	// Updates counts the edge/keyword operations handed to the graph by
+	// POST .../mutations (one per entry whose vertices resolved);
+	// MutationBatches counts those requests.
 	Updates         uint64 `json:"updates"`
 	MutationBatches uint64 `json:"mutation_batches"`
 	// ApproxQueries counts answered queries that carried an approximation

@@ -20,9 +20,8 @@ import (
 // serves many independently-maintained graphs behind one versioned surface.
 
 // DefaultCollection is the collection name served by the unsuffixed
-// single-graph endpoints (/v1/search, /v1/batch, /v1/mutations and the
-// legacy paths). Engines constructed with New(g, cfg) register g under
-// this name.
+// single-graph endpoints (/v1/search, /v1/batch and /v1/mutations). Engines
+// constructed with New(g, cfg) register g under this name.
 const DefaultCollection = "default"
 
 // Lifecycle errors surfaced by the registry and mapped onto the v1
@@ -72,12 +71,12 @@ func (s CollectionState) String() string {
 }
 
 // Source describes where a collection's graph comes from: a file path (text
-// or .snap), a synthetic preset (with optional scale), or — when both are
+// or .acqm), a synthetic preset (with optional scale), or — when both are
 // empty — a new empty graph. At most one of Path and Preset may be set.
 // Source doubles as the JSON body fields of POST /v1/collections.
 type Source struct {
 	// Path is a graph file readable by LoadFile (text interchange format, or
-	// a binary .snap with its prebuilt index).
+	// an .acqm snapshot with its prebuilt index).
 	Path string `json:"path,omitempty"`
 	// Preset names a synthetic dataset analogue (flickr, dblp, tencent,
 	// dbpedia); Scale multiplies its size (0 means 1.0).

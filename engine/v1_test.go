@@ -179,6 +179,27 @@ func TestV1Batch(t *testing.T) {
 	if resp.Results[3].Error == nil || resp.Results[3].Error.Code != codeBadRequest {
 		t.Fatalf("result[3] = %+v, want bad_request for missing vertex", resp.Results[3].Error)
 	}
+
+	// Client-requested workers are clamped by the operator bound — a huge
+	// value must not fan out past BatchWorkers (and must still succeed).
+	capped := New(testGraph(t), Config{BatchWorkers: 1, Logf: func(string, ...any) {}})
+	rec = do(t, capped.Handler(), "POST", "/v1/batch", `{"queries":[{"vertex":"jack","k":3},{"vertex":"bob","k":3}],"workers":100000}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("capped batch: %d %s", rec.Code, rec.Body)
+	}
+	// Empty batch: no workers, still a valid response with no results.
+	rec = do(t, h, "POST", "/v1/batch", `{"queries":[]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("empty batch: %d %s", rec.Code, rec.Body)
+	}
+	resp.Results = nil
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Results) != 0 {
+		t.Fatalf("empty batch body = %s (err %v), want empty results", rec.Body, err)
+	}
+	rec = do(t, h, "POST", "/v1/batch", `garbage`)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), string(codeBadRequest)) {
+		t.Fatalf("garbage batch: %d %s, want 400 bad_request", rec.Code, rec.Body)
+	}
 }
 
 func TestV1BatchTooManyQueries(t *testing.T) {
@@ -189,11 +210,6 @@ func TestV1BatchTooManyQueries(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), string(codeTooManyQueries)) {
 		t.Fatalf("body = %s, want too_many_queries", rec.Body)
-	}
-	// Legacy /batch honours the same limit with its legacy error shape.
-	rec = do(t, e.Handler(), "POST", "/batch", `{"queries":[{"q":"jack"},{"q":"bob"}]}`)
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "exceeds the server limit") {
-		t.Fatalf("legacy batch: %d %s", rec.Code, rec.Body)
 	}
 }
 
@@ -209,11 +225,6 @@ func TestV1BodyTooLarge(t *testing.T) {
 		if !strings.Contains(rec.Body.String(), string(codeBodyTooLarge)) {
 			t.Fatalf("%s: body = %s, want body_too_large", target, rec.Body)
 		}
-	}
-	// Legacy /batch: structured 413 with the legacy error shape.
-	rec := do(t, h, "POST", "/batch", big)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("legacy batch: status = %d (%s)", rec.Code, rec.Body)
 	}
 }
 

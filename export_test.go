@@ -1,0 +1,12 @@
+package acq
+
+import "testing"
+
+// ForceBuildWorkers pins the fan-out of index builds and snapshot
+// publication to n for the rest of the test (1 = serial), so the worker
+// sweeps cover the parallel paths on graphs small enough that auto sizing
+// would stay serial.
+func ForceBuildWorkers(t testing.TB, n int) {
+	prev := buildWorkers.Swap(int32(n))
+	t.Cleanup(func() { buildWorkers.Store(prev) })
+}

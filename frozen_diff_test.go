@@ -53,8 +53,8 @@ func TestFrozenVsMutableAllModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			g.SetResultCacheSize(-1)
-			g.SetBuildWorkers(workers)
-			g.BuildIndexOpts(acq.BuildOptions{Workers: workers})
+			acq.ForceBuildWorkers(t, workers)
+			g.BuildIndex()
 			if queries == nil {
 				for v := int32(0); int(v) < g.NumVertices() && len(queries) < 4; v++ {
 					if c, _ := g.CoreNumber(v); c >= 4 {
@@ -86,18 +86,29 @@ func TestFrozenVsMutableAllModes(t *testing.T) {
 	}
 }
 
-// TestFrozenSnapshotRoundTrip: a frozen snapshot serialised to the binary
-// format and loaded back must carry the same graph, the same index answers
-// and a valid structure — the public half of the Freeze → WriteSnapshot →
-// ReadSnapshot → Validate loop (the internal half lives in internal/dataio).
+// TestFrozenSnapshotRoundTrip: a frozen snapshot serialised to the .acqm
+// container and loaded back must carry the same graph, the same index
+// answers and a valid structure — the public half of the Freeze →
+// WriteMapped → ReadMapped → Validate loop (the internal half lives in
+// internal/dataio). The mutable master and its frozen snapshot serialise to
+// the same bytes.
 func TestFrozenSnapshotRoundTrip(t *testing.T) {
 	g := figure1Graph(t)
 	g.BuildIndex()
 	snap := g.Snapshot() // frozen CSR view + cloned tree
 
-	var buf bytes.Buffer
+	var buf, master bytes.Buffer
 	if err := snap.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if err := g.SaveSnapshot(&master); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), master.Bytes()) {
+		t.Fatal("the master and its frozen snapshot serialise differently")
+	}
+	if !bytes.HasPrefix(buf.Bytes(), []byte("ACQM")) {
+		t.Fatalf("snapshot file starts %q, want the ACQM magic", buf.Bytes()[:4])
 	}
 	loaded, err := acq.LoadSnapshot(&buf)
 	if err != nil {

@@ -8,9 +8,10 @@
 // The four presets mirror the relative shape of the paper's datasets
 // (Table 3): DBLP is sparse with large keyword sets, Tencent is by far the
 // densest, DBpedia is the largest, Flickr sits in between. Absolute sizes
-// are scaled down to laptop scale — see DESIGN.md ("Substitutions") for why
-// this preserves the evaluation's comparisons — and can be rescaled with the
-// Scale helper.
+// are scaled down to laptop scale and can be rescaled with the Scale helper.
+// The evaluation compares algorithms against each other on one dataset at a
+// time, so it is the shape, not the absolute size, that its comparisons
+// depend on.
 package datagen
 
 import (

@@ -7,17 +7,16 @@
 //     e <labelA> <labelB>         one line per undirected edge
 //     Blank lines and lines starting with '#' are ignored.
 //
-//   - A gob-encoded binary snapshot holding the graph and, optionally, a
-//     flattened CL-tree, so a service can load a prebuilt index without
-//     re-decomposing the graph.
+//   - The mapped snapshot container ("ACQM", mapped.go) holding the graph
+//     and, optionally, a flattened CL-tree, so a service can load a prebuilt
+//     index without re-decomposing the graph. It is memory-mapped by
+//     OpenMapped and read from a stream by ReadMapped.
 package dataio
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"github.com/acq-search/acq/internal/core"
@@ -117,114 +116,16 @@ func ReadText(r io.Reader) (*graph.Graph, error) {
 	return g, nil
 }
 
-// snapshotFormatVersion identifies the gob wire layout. Version 2 stores the
-// graph as the same flat CSR arrays the in-memory frozen form uses, so
-// serialising a published snapshot is a handful of array writes instead of a
-// per-vertex re-encoding. Files written by the pre-CSR releases (which had no
-// version field) are rejected with a descriptive error.
-const snapshotFormatVersion = 2
-
-// snapshot is the gob wire form.
-type snapshot struct {
-	Version int
-	Labels  []string
-	Words   []string // keyword dictionary, indexed by KeywordID
-	AdjOff  []int32  // len NumVertices+1
-	Adj     []graph.VertexID
-	KwOff   []int32 // len NumVertices+1
-	Kw      []graph.KeywordID
-	Tree    *flatTree
-}
-
-type flatTree struct {
+// FlatTree is the flattened CL-tree skeleton — four flat arrays, immutable
+// once built. FlattenTree captures it in O(tree) array copies, which lets a
+// checkpoint snapshot the index under the writer lock and serialise the
+// capture off-lock while mutations continue.
+type FlatTree struct {
 	Core    []int32 // node core number, indexed by pre-order node ID
 	Parent  []int32 // node parent ID (-1 for root)
 	VertOff []int32 // len = node count + 1
 	Verts   []graph.VertexID
 }
-
-// WriteSnapshot gob-encodes g and (if non-nil) its CL-tree. A frozen view's
-// CSR arrays are serialised directly (zero copies); any other view is
-// flattened first.
-func WriteSnapshot(w io.Writer, g graph.View, t *core.Tree) error {
-	n := g.NumVertices()
-	s := snapshot{
-		Version: snapshotFormatVersion,
-		Labels:  make([]string, n),
-		Words:   g.Dict().Words(),
-	}
-	for v := 0; v < n; v++ {
-		s.Labels[v] = g.Label(graph.VertexID(v))
-	}
-	switch v := g.(type) {
-	case *graph.Frozen:
-		s.AdjOff, s.Adj, s.KwOff, s.Kw = v.Flat()
-	//acqvet:allow viewpurity — the serializer only reads: the downcast picks the flattening path, it never mutates
-	case *graph.Graph:
-		// Freeze owns the flattening (including the int32 offset-overflow
-		// guard); the throwaway dictionary clone is noise next to the encode.
-		s.AdjOff, s.Adj, s.KwOff, s.Kw = v.Freeze(1).Flat()
-	default:
-		// No other View implementation exists today; flatten generically,
-		// with the same overflow guard Freeze applies.
-		adjTotal, kwTotal := 0, 0
-		s.AdjOff = make([]int32, n+1)
-		s.KwOff = make([]int32, n+1)
-		for v := 0; v < n; v++ {
-			id := graph.VertexID(v)
-			adjTotal += g.Degree(id)
-			kwTotal += len(g.Keywords(id))
-			s.AdjOff[v+1] = int32(adjTotal)
-			s.KwOff[v+1] = int32(kwTotal)
-		}
-		if adjTotal > math.MaxInt32 || kwTotal > math.MaxInt32 {
-			return fmt.Errorf("dataio: graph exceeds int32 CSR offsets (%d adjacency, %d keyword entries)", adjTotal, kwTotal)
-		}
-		s.Adj = make([]graph.VertexID, adjTotal)
-		s.Kw = make([]graph.KeywordID, kwTotal)
-		for v := 0; v < n; v++ {
-			id := graph.VertexID(v)
-			copy(s.Adj[s.AdjOff[v]:s.AdjOff[v+1]], g.Neighbors(id))
-			copy(s.Kw[s.KwOff[v]:s.KwOff[v+1]], g.Keywords(id))
-		}
-	}
-	if t != nil {
-		s.Tree = flattenTree(t)
-	}
-	return gob.NewEncoder(w).Encode(&s)
-}
-
-// ReadSnapshot decodes a snapshot; the tree is nil when none was stored. The
-// flat arrays are validated (graph.FromFlat runs the full representation
-// Validate) so a corrupt or truncated file fails here rather than corrupting
-// queries later.
-func ReadSnapshot(r io.Reader) (*graph.Graph, *core.Tree, error) {
-	var s snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, nil, fmt.Errorf("dataio: decoding snapshot: %w", err)
-	}
-	if s.Version != snapshotFormatVersion {
-		return nil, nil, fmt.Errorf("dataio: unsupported snapshot format version %d (want %d); re-save the snapshot with this release", s.Version, snapshotFormatVersion)
-	}
-	g, err := graph.FromFlat(s.Labels, s.Words, s.KwOff, s.Kw, s.AdjOff, s.Adj)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dataio: snapshot graph: %w", err)
-	}
-	if s.Tree == nil {
-		return g, nil, nil
-	}
-	t, err := unflattenTree(g, s.Tree)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, t, nil
-}
-
-// FlatTree is the flattened CL-tree skeleton — four flat arrays, immutable
-// once built. FlattenTree captures it in O(tree) array copies, which lets a
-// checkpoint snapshot the index under the writer lock and serialise the
-// capture off-lock while mutations continue.
-type FlatTree = flatTree
 
 // FlattenTree captures t's skeleton (core numbers, parent links, vertex
 // lists) as immutable flat arrays. Nil in, nil out.
@@ -232,11 +133,7 @@ func FlattenTree(t *core.Tree) *FlatTree {
 	if t == nil {
 		return nil
 	}
-	return flattenTree(t)
-}
-
-func flattenTree(t *core.Tree) *flatTree {
-	ft := &flatTree{VertOff: []int32{0}}
+	ft := &FlatTree{VertOff: []int32{0}}
 	var walk func(n *core.Node, parent int32)
 	walk = func(n *core.Node, parent int32) {
 		id := int32(len(ft.Core))
@@ -252,7 +149,7 @@ func flattenTree(t *core.Tree) *flatTree {
 	return ft
 }
 
-func unflattenTree(g graph.View, ft *flatTree) (*core.Tree, error) {
+func unflattenTree(g graph.View, ft *FlatTree) (*core.Tree, error) {
 	nn := len(ft.Core)
 	if nn == 0 || len(ft.Parent) != nn || len(ft.VertOff) != nn+1 || ft.Parent[0] != -1 {
 		return nil, fmt.Errorf("dataio: malformed tree snapshot")
@@ -260,7 +157,7 @@ func unflattenTree(g graph.View, ft *flatTree) (*core.Tree, error) {
 	nodes := make([]*core.Node, nn)
 	for i := range nodes {
 		lo, hi := ft.VertOff[i], ft.VertOff[i+1]
-		if lo > hi || int(hi) > len(ft.Verts) {
+		if lo < 0 || lo > hi || int(hi) > len(ft.Verts) {
 			return nil, fmt.Errorf("dataio: malformed tree vertex offsets at node %d", i)
 		}
 		vs := ft.Verts[lo:hi:hi]

@@ -2,7 +2,9 @@ package dataio
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -89,14 +91,20 @@ func TestWriteTextRejectsWhitespaceTokens(t *testing.T) {
 	}
 }
 
+// writeMappedBuf writes g and its tree (nil for none) as a mapped container.
+func writeMappedBuf(t testing.TB, g *graph.Graph, tr *core.Tree) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteMapped(&buf, g.Freeze(1), FlattenTree(tr), 0); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
 func TestSnapshotRoundTripWithTree(t *testing.T) {
 	g := testutil.Fig5Graph()
 	tr := core.BuildAdvanced(g)
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, g, tr); err != nil {
-		t.Fatal(err)
-	}
-	g2, tr2, err := ReadSnapshot(&buf)
+	g2, tr2, err := ReadMapped(writeMappedBuf(t, g, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +124,7 @@ func TestSnapshotRoundTripWithTree(t *testing.T) {
 
 func TestSnapshotWithoutTree(t *testing.T) {
 	g := testutil.Fig3Graph()
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, g, nil); err != nil {
-		t.Fatal(err)
-	}
-	g2, tr, err := ReadSnapshot(&buf)
+	g2, tr, err := ReadMapped(writeMappedBuf(t, g, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +137,30 @@ func TestSnapshotWithoutTree(t *testing.T) {
 }
 
 func TestReadSnapshotGarbage(t *testing.T) {
-	if _, _, err := ReadSnapshot(strings.NewReader("not gob at all")); err == nil {
-		t.Fatal("accepted garbage")
+	for name, content := range garbageContainers {
+		if _, _, err := ReadMapped(bytes.NewReader(content)); !errors.Is(err, ErrNotMapped) {
+			t.Errorf("%s: ReadMapped error = %v, want ErrNotMapped", name, err)
+		}
+	}
+}
+
+// TestSnapshotRejectsLegacyFormat: a gob snapshot file written by the
+// releases before the mapped container became the only binary format must
+// fail with an error that names its bad magic, not a half-decoded graph.
+func TestSnapshotRejectsLegacyFormat(t *testing.T) {
+	f, err := os.Open("testdata/legacy-gob.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, _, err = ReadMapped(f)
+	if !errors.Is(err, ErrNotMapped) || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("legacy gob snapshot: error = %v, want ErrNotMapped naming the bad magic", err)
 	}
 }
 
 // Property: text and snapshot round trips are lossless on random graphs, and
-// a rehydrated tree answers queries identically to a fresh build.
+// a rehydrated tree validates.
 func TestRoundTripQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -154,10 +175,10 @@ func TestRoundTripQuick(t *testing.T) {
 		}
 		tr := core.BuildAdvanced(g)
 		buf.Reset()
-		if err := WriteSnapshot(&buf, g, tr); err != nil {
+		if err := WriteMapped(&buf, g.Freeze(1), FlattenTree(tr), 0); err != nil {
 			return false
 		}
-		g3, tr3, err := ReadSnapshot(&buf)
+		g3, tr3, err := ReadMapped(&buf)
 		if err != nil || tr3 == nil {
 			return false
 		}

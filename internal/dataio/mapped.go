@@ -19,8 +19,9 @@ import (
 // memory-map the file and serve straight from the page cache: the n+m payload
 // (adjacency, keyword lists, the flattened CL-tree) is never copied onto the
 // heap, only the O(n) label table, the O(vocabulary) dictionary and the tree
-// skeleton are materialised. The gob format (ReadSnapshot/WriteSnapshot)
-// remains the portable interchange form; this one is the serving form.
+// skeleton are materialised. It is the one binary format: checkpoints,
+// replication bootstraps and saved snapshot files all use it, and the text
+// format remains the interchange form.
 //
 // Layout (all fields little-endian):
 //
@@ -44,9 +45,12 @@ import (
 // Master. In-place splices dirty private copy-on-write pages of the second
 // mapping without disturbing the first mapping or the file itself.
 
+// MappedMagic opens every mapped snapshot container; loaders sniff it to
+// tell a snapshot file from a text graph.
+const MappedMagic = "ACQM"
+
 const (
-	mappedMagic   = "ACQM"
-	mappedVersion = 2 // the flat-CSR v2 snapshot layout, raw instead of gob
+	mappedVersion = 2 // the flat-CSR v2 snapshot layout
 
 	mappedHeaderSize = 64
 	mappedSections   = 12
@@ -131,7 +135,7 @@ func WriteMapped(w io.Writer, g *graph.Frozen, ft *FlatTree, graphVersion uint64
 
 	bw := bufio.NewWriterSize(w, 1<<20)
 	hdr := make([]byte, mappedHeaderSize)
-	copy(hdr, mappedMagic)
+	copy(hdr, MappedMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], mappedVersion)
 	binary.LittleEndian.PutUint64(hdr[8:], graphVersion)
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(n))
@@ -259,10 +263,6 @@ func OpenMapped(path string) (*Mapped, error) {
 		return nil, err
 	}
 	size := fi.Size()
-	if size < mappedDataStart {
-		return nil, fmt.Errorf("%w: %s: %d bytes is shorter than the header", ErrNotMapped, path, size)
-	}
-
 	m := &Mapped{path: path, zeroCopy: mmapSupported && hostLittle}
 	if m.zeroCopy {
 		m.ro, m.unmapRO, err = mapFile(f, size, false)
@@ -301,7 +301,7 @@ func PeekMappedVersion(r io.ReaderAt) (uint64, error) {
 	if _, err := r.ReadAt(hdr[:], 0); err != nil {
 		return 0, fmt.Errorf("%w: reading header: %v", ErrNotMapped, err)
 	}
-	if string(hdr[:4]) != mappedMagic {
+	if string(hdr[:4]) != MappedMagic {
 		return 0, fmt.Errorf("%w: bad magic %q", ErrNotMapped, hdr[:4])
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:]); v != mappedVersion {
@@ -310,13 +310,42 @@ func PeekMappedVersion(r io.ReaderAt) (uint64, error) {
 	return binary.LittleEndian.Uint64(hdr[8:]), nil
 }
 
-// readAligned reads the whole file into an 8-byte-aligned heap buffer.
-func readAligned(f *os.File, size int64) ([]byte, error) {
-	buf := alignedBuf(int(size))[:size]
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), buf); err != nil {
-		return nil, err
+// ReadMapped reads a mapped snapshot container from r onto the heap and
+// assembles its mutable master graph plus CL-tree (nil when none is stored),
+// exactly as Master does for an opened file. Both are fully validated, so a
+// corrupt or truncated input fails here. The graph version stamp is not
+// returned.
+func ReadMapped(r io.Reader) (*graph.Graph, *core.Tree, error) {
+	buf, err := readAligned(r, 0)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dataio: reading mapped snapshot: %w", err)
 	}
-	return buf, nil
+	// Nothing else aliases the buffer, so the master owns it outright and the
+	// read-only and writable views can be the same bytes.
+	m := &Mapped{path: "input", ro: buf, rw: buf}
+	if err := m.parseHeader(); err != nil {
+		return nil, nil, err
+	}
+	return m.Master()
+}
+
+// readAligned reads r to EOF into an 8-byte-aligned heap buffer. size
+// presizes it: the file size, or 0 for a stream of unknown length.
+func readAligned(r io.Reader, size int64) ([]byte, error) {
+	buf := alignedBuf(int(size) + 512)
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(alignedBuf(2*cap(buf)), buf...)
+		}
+	}
 }
 
 // alignedBuf returns an empty byte slice with 8-aligned backing storage of
@@ -332,8 +361,11 @@ func alignedBuf(n int) []byte {
 
 func (m *Mapped) parseHeader() error {
 	h := m.ro
-	if string(h[:4]) != mappedMagic {
-		return fmt.Errorf("%w: %s: bad magic %q", ErrNotMapped, m.path, h[:4])
+	if magic := h[:min(len(h), len(MappedMagic))]; string(magic) != MappedMagic {
+		return fmt.Errorf("%w: %s: bad magic %q", ErrNotMapped, m.path, magic)
+	}
+	if len(h) < mappedDataStart {
+		return fmt.Errorf("%w: %s: %d bytes is shorter than the header", ErrNotMapped, m.path, len(h))
 	}
 	if v := binary.LittleEndian.Uint32(h[4:]); v != mappedVersion {
 		return fmt.Errorf("dataio: %s: unsupported mapped snapshot version %d (want %d)", m.path, v, mappedVersion)
@@ -346,10 +378,15 @@ func (m *Mapped) parseHeader() error {
 	if sc := binary.LittleEndian.Uint64(h[48:]); sc != mappedSections {
 		return fmt.Errorf("dataio: %s: mapped snapshot has %d sections (want %d)", m.path, sc, mappedSections)
 	}
-	if m.n < 0 || m.m < 0 || m.words < 0 || m.treeNodes < 0 {
-		return fmt.Errorf("dataio: %s: mapped snapshot header counts overflow", m.path)
-	}
 	total := int64(len(m.ro))
+	// Every counted element occupies at least one byte of its section, so a
+	// count beyond the file size is corrupt — and bounding the counts keeps
+	// the 4·(count+1) length arithmetic below from wrapping around.
+	for _, c := range [...]int{m.n, m.m, m.words, m.treeNodes} {
+		if c < 0 || int64(c) > total {
+			return fmt.Errorf("dataio: %s: mapped snapshot header counts overflow", m.path)
+		}
+	}
 	for i := 0; i < mappedSections; i++ {
 		off := int64(binary.LittleEndian.Uint64(h[mappedHeaderSize+16*i:]))
 		l := int64(binary.LittleEndian.Uint64(h[mappedHeaderSize+16*i+8:]))
@@ -478,8 +515,8 @@ func (m *Mapped) Frozen(validate bool) (*graph.Frozen, error) {
 
 // Master assembles the mutable master graph over the writable copy-on-write
 // view, plus its CL-tree if one is stored (nil otherwise). Row splices and
-// appends behave exactly as after a gob load: the first mutation of a row
-// either reallocates it or dirties a private page — the file is never
+// appends behave exactly as on a heap-built graph: the first mutation of a
+// row either reallocates it or dirties a private page — the file is never
 // written. The graph is fully validated.
 func (m *Mapped) Master() (*graph.Graph, *core.Tree, error) {
 	labels, err := m.strings(secLabelOff, secLabelBytes)
@@ -519,7 +556,7 @@ func (m *Mapped) Tree(v graph.View) (*core.Tree, error) {
 	if _, mutable := v.(*graph.Graph); mutable {
 		buf = m.rw
 	}
-	ft := &flatTree{
+	ft := &FlatTree{
 		Core:    m.int32s(buf, secTreeCore),
 		Parent:  m.int32s(buf, secTreeParent),
 		VertOff: m.int32s(buf, secTreeVertOff),

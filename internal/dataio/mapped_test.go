@@ -1,7 +1,10 @@
 package dataio
 
 import (
+	"bytes"
+	"encoding/binary"
 	"flag"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -308,13 +311,17 @@ func TestCommittedFixtureRoundTrip(t *testing.T) {
 	}
 }
 
+// garbageContainers are inputs every container reader must reject as not a
+// mapped snapshot.
+var garbageContainers = map[string][]byte{
+	"empty": {},
+	"text":  []byte("v a\nv b\ne a b\n"),
+	"short": []byte("ACQM\x02\x00\x00\x00 short"),
+}
+
 func TestOpenMappedRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
-	for name, content := range map[string][]byte{
-		"empty": {},
-		"text":  []byte("v a\nv b\ne a b\n"),
-		"short": []byte("ACQM\x02\x00\x00\x00 short"),
-	} {
+	for name, content := range garbageContainers {
 		p := filepath.Join(dir, name)
 		if err := os.WriteFile(p, content, 0o644); err != nil {
 			t.Fatal(err)
@@ -337,4 +344,131 @@ func TestOpenMappedRejectsGarbage(t *testing.T) {
 	if _, err := OpenMapped(p); err == nil {
 		t.Error("OpenMapped accepted a truncated container")
 	}
+}
+
+// TestFrozenSnapshotRoundTrip is the internal Freeze → WriteMapped →
+// ReadMapped → Validate loop on random graphs: the reloaded mutable graph
+// plus rehydrated tree must validate and match the original structure.
+func TestFrozenSnapshotRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 8; i++ {
+		g := testutil.RandomGraph(rng, 10+rng.Intn(80), 1+3*rng.Float64(), 10, 3)
+		tr := core.BuildAdvanced(g)
+		fz := g.Freeze(2)
+
+		var buf bytes.Buffer
+		if err := WriteMapped(&buf, fz, FlattenTree(tr.Clone(fz)), uint64(i)); err != nil {
+			t.Fatalf("iteration %d: write: %v", i, err)
+		}
+		g2, tr2, err := ReadMapped(&buf)
+		if err != nil {
+			t.Fatalf("iteration %d: read: %v", i, err)
+		}
+		if err := g2.Validate(); err != nil {
+			t.Fatalf("iteration %d: reloaded graph invalid: %v", i, err)
+		}
+		frozenEqual(t, g, g2)
+		if tr2 == nil {
+			t.Fatalf("iteration %d: tree lost", i)
+		}
+		if err := tr2.Validate(); err != nil {
+			t.Fatalf("iteration %d: reloaded tree invalid: %v", i, err)
+		}
+		if !reflect.DeepEqual(tr.Core, tr2.Core) || tr.KMax != tr2.KMax || tr.NumNodes() != tr2.NumNodes() {
+			t.Fatalf("iteration %d: tree shape moved", i)
+		}
+	}
+}
+
+// TestFrozenAndMutableSnapshotsIdentical: the container is canonical. A
+// mutable master loaded back with ReadMapped, frozen and written again,
+// reproduces the original file byte for byte.
+func TestFrozenAndMutableSnapshotsIdentical(t *testing.T) {
+	g := testutil.RandomGraph(rand.New(rand.NewSource(7)), 60, 3, 10, 3)
+	tr := core.BuildAdvanced(g)
+	var first, second bytes.Buffer
+	if err := WriteMapped(&first, g.Freeze(1), FlattenTree(tr), 9); err != nil {
+		t.Fatal(err)
+	}
+	master, mtr, err := ReadMapped(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteMapped(&second, master.Freeze(1), FlattenTree(mtr), 9); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("re-serialising the reloaded master changed the container bytes")
+	}
+}
+
+// overflowingCounts is a container whose header claims 2^62−1 vertices with
+// every per-vertex section empty: 4·(n+1) wraps to 0 in int64, so without a
+// bound on the header counts the section-length cross-check passes and the
+// label table decode slices with length −1.
+func overflowingCounts() []byte {
+	data := make([]byte, mappedDataStart+8)
+	copy(data, MappedMagic)
+	binary.LittleEndian.PutUint32(data[4:], mappedVersion)
+	binary.LittleEndian.PutUint64(data[16:], 1<<62-1) // n
+	binary.LittleEndian.PutUint64(data[48:], mappedSections)
+	for i := 0; i < mappedSections; i++ {
+		binary.LittleEndian.PutUint64(data[mappedHeaderSize+16*i:], mappedDataStart)
+	}
+	binary.LittleEndian.PutUint64(data[mappedHeaderSize+16*secWordOff+8:], 4) // one zero offset, no words
+	return data
+}
+
+func TestReadMappedRejectsOverflowingCounts(t *testing.T) {
+	if _, _, err := ReadMapped(bytes.NewReader(overflowingCounts())); err == nil {
+		t.Fatal("ReadMapped accepted a header whose counts overflow the section lengths")
+	}
+}
+
+// negativeTreeOffset is the committed fixture with its first tree vertex
+// offset set to −1. The offsets stay non-decreasing, so only an explicit
+// sign check keeps the node's vertex slice from starting before the array.
+func negativeTreeOffset(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(fixturePath)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	off := binary.LittleEndian.Uint64(data[mappedHeaderSize+16*secTreeVertOff:])
+	binary.LittleEndian.PutUint32(data[off:], math.MaxUint32)
+	return data
+}
+
+func TestReadMappedRejectsNegativeTreeOffset(t *testing.T) {
+	if _, _, err := ReadMapped(bytes.NewReader(negativeTreeOffset(t))); err == nil {
+		t.Fatal("ReadMapped accepted a tree vertex offset of -1")
+	}
+}
+
+// FuzzReadMapped feeds arbitrary bytes to the stream loader behind
+// acq.LoadSnapshot, which parses whatever file a user passes as -in. It must
+// never panic, and any input it accepts must yield a valid graph.
+func FuzzReadMapped(f *testing.F) {
+	tiny, err := os.ReadFile(fixturePath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tiny)
+	for _, n := range []int{4, mappedHeaderSize, mappedDataStart, len(tiny) / 2, len(tiny) - 1} {
+		f.Add(tiny[:n])
+	}
+	for _, content := range garbageContainers {
+		f.Add(content)
+	}
+	f.Add(overflowingCounts())
+	f.Add(negativeTreeOffset(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, _, err := ReadMapped(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("ReadMapped accepted a graph that fails Validate: %v", err)
+		}
+	})
 }

@@ -21,8 +21,9 @@ func TestBuildIndexWorkersEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial.BuildIndexOpts(acq.BuildOptions{Workers: 1})
-	parallel.SetBuildWorkers(8)
+	acq.ForceBuildWorkers(t, 1)
+	serial.BuildIndex()
+	acq.ForceBuildWorkers(t, 8)
 	parallel.BuildIndex()
 
 	if d, w := serial.IndexBuildStats(); w != 1 || d <= 0 {

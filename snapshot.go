@@ -129,11 +129,9 @@ func (s *Snapshot) CoreNumber(v int32) (int, error) { return s.v.coreNumber(v) }
 // Graph.Save, this is safe while the originating graph is being mutated.
 func (s *Snapshot) Save(w io.Writer) error { return dataio.WriteText(w, s.v.g) }
 
-// SaveSnapshot writes the snapshot's graph and index as a binary snapshot
-// file, again safe under concurrent mutation of the originating graph.
-func (s *Snapshot) SaveSnapshot(w io.Writer) error {
-	return dataio.WriteSnapshot(w, s.v.g, s.v.tree)
-}
+// SaveSnapshot writes the snapshot's graph and index as a snapshot file
+// (.acqm), again safe under concurrent mutation of the originating graph.
+func (s *Snapshot) SaveSnapshot(w io.Writer) error { return s.v.saveSnapshot(w) }
 
 // cached memoises successful results of the mode dispatch in the snapshot's
 // LRU cache. Errors (including cancellations) are never cached: they are

@@ -360,7 +360,7 @@ func (G *Graph) deltaTreeLocked(ov *graph.Overlay) *core.Tree {
 	}
 	rev := G.maint.StructRev()
 	if G.pubTree == nil || G.pubStructRev != rev {
-		workers := core.BuildOptions{Workers: G.buildWorkers}.ResolvedWorkers(G.g)
+		workers := buildOptions().ResolvedWorkers(G.g)
 		t2 := G.tree.CloneOpts(ov, core.BuildOptions{Workers: workers})
 		G.pubTree = t2
 		G.pubStructRev = rev
@@ -477,7 +477,7 @@ func (G *Graph) compactOnce() {
 		}
 	}
 	v0 := G.version.Load()
-	workers := core.BuildOptions{Workers: G.buildWorkers}.ResolvedWorkers(G.g)
+	workers := buildOptions().ResolvedWorkers(G.g)
 	G.pend = newPendingDelta()
 	G.compacting.Store(true)
 	G.mu.Unlock()

@@ -94,8 +94,8 @@ func servingGraph(t *testing.T, workers int) *acq.Graph {
 		t.Fatal(err)
 	}
 	g.SetResultCacheSize(-1)
-	g.SetBuildWorkers(workers)
-	g.BuildIndexOpts(acq.BuildOptions{Workers: workers})
+	acq.ForceBuildWorkers(t, workers)
+	g.BuildIndex()
 	g.Snapshot()
 	return g
 }
