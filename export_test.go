@@ -10,3 +10,7 @@ func ForceBuildWorkers(t testing.TB, n int) {
 	prev := buildWorkers.Swap(int32(n))
 	t.Cleanup(func() { buildWorkers.Store(prev) })
 }
+
+// ScratchInUse reports how many pooled query scratch spaces of s's index are
+// handed out: zero whenever no query runs on s.
+func ScratchInUse(s *Snapshot) int64 { return s.v.tree.ScratchInUse() }

@@ -10,7 +10,6 @@ import (
 	"github.com/acq-search/acq/internal/fpm"
 	"github.com/acq-search/acq/internal/graph"
 	"github.com/acq-search/acq/internal/kcore"
-	"github.com/acq-search/acq/internal/truss"
 )
 
 // This file implements the approximate evaluation path for the
@@ -33,9 +32,11 @@ import (
 //     the driver returns the best communities found with the bounds that
 //     stand.
 //
-// With ε = 0 and no top-r the probe sequence degenerates to the exact
-// evaluators' largest-first descent, so an unspent budget reproduces the
-// exact result.
+// With ε = 0 and no top-r the probe sequence is the paper's largest-first
+// descent, and the exact entry points (Dec, CliqueSearch, TrussSearch[D])
+// are exactly that walk: the same code at the zero Approx, except that a
+// budget unwind propagates to the caller as cancel.ErrBudget instead of
+// ending the walk with a partial result.
 
 // Approx tunes the approximate evaluation of a query. The zero value asks
 // for exact evaluation; a work budget is supplied separately by attaching a
@@ -73,12 +74,25 @@ func exactBounds(l int) Bounds {
 	return Bounds{Lower: l, Upper: l, Exact: true}
 }
 
+// A prober runs one step of a walk — mining, one level's verification, the
+// fallback — and reports whether a budget unwind cut it short. The
+// approximate entry points use cancel.CatchBudget, which turns an exhausted
+// budget into a partial result; the exact ones use runToEnd, which lets the
+// unwind reach the entry point's cancel.Recover as cancel.ErrBudget.
+type prober func(step func()) (exhausted bool)
+
+func runToEnd(step func()) bool {
+	step()
+	return false
+}
+
 // approxLevels runs the ε-bounded, budget-aware, top-r-truncated search over
 // mined candidate levels. levels[l-1] holds the size-l candidate sets;
-// verify(l, set) returns the community for one candidate or nil. It returns
-// the qualifying communities of the best level probed (nil if none) and the
-// achieved bounds (Work left for the caller to fill).
-func approxLevels(levels [][][]graph.KeywordID, ap Approx, verify func(l int, set []graph.KeywordID) []graph.VertexID) ([]Community, Bounds) {
+// verify(set) returns the community for one candidate or nil, and probe runs
+// each level's verification. It returns the qualifying communities of the
+// best level probed (nil if none) and the achieved bounds (Work left for the
+// caller to fill).
+func approxLevels(levels [][][]graph.KeywordID, ap Approx, probe prober, verify func(set []graph.KeywordID) []graph.VertexID) ([]Community, Bounds) {
 	h := len(levels)
 	lower, upper := 0, h
 	cur := h // next probe ceiling; < upper only after a truncated failure
@@ -117,9 +131,9 @@ func approxLevels(levels [][][]graph.KeywordID, ap Approx, verify func(l int, se
 			truncated = true
 		}
 		var out []Community
-		exhausted = cancel.CatchBudget(func() {
+		exhausted = probe(func() {
 			for _, set := range sets {
-				if comm := verify(m, set); comm != nil {
+				if comm := verify(set); comm != nil {
 					out = append(out, Community{Label: set, Vertices: comm})
 				}
 			}
@@ -177,11 +191,25 @@ func (e *env) communityOfComponent(comp []graph.VertexID) []graph.VertexID {
 	return res
 }
 
-// DecApprox is the approximate counterpart of Dec: the same mined candidate
-// levels and R̂ scoping, evaluated through approxLevels under the Approx
-// contract and any work budget metered on ctx. At the zero Approx with an
-// unspent budget the result is identical to Dec's.
-func DecApprox(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options, ap Approx) (res Result, b Bounds, err error) {
+// DecApprox is the approximate counterpart of Dec: the same walk under the
+// Approx contract and any work budget metered on ctx. At the zero Approx
+// with an unspent budget the result is identical to Dec's.
+func DecApprox(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options, ap Approx) (Result, Bounds, error) {
+	return decWalk(ctx, t, q, k, s, opt, ap, fpm.FPGrowth, cancel.CatchBudget)
+}
+
+// decWalk is the shared body of Dec, DecWithMiner and DecApprox: mine the
+// candidate levels from q's neighbourhood, then walk them through
+// approxLevels, verifying each candidate by local expansion. Each probe
+// grows q's connected component of {v : core(v) ≥ k ∧ S' ⊆ W(v)} by BFS and
+// refines it with the usual Gk[S'] pipeline. That component is exactly the
+// one Algorithm 4's R̂ filter would feed into ComponentOf — every vertex with
+// core ≥ k reachable from q through S'-containing vertices lies in q's
+// k-ĉore and shares ≥ |S'| query keywords — so the community is identical,
+// but the cost is proportional to the community's neighbourhood rather than
+// to the k-ĉore. The k-ĉore itself is materialised only for a fallback
+// answer.
+func decWalk(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options, ap Approx, mine Miner, probe prober) (res Result, b Bounds, err error) {
 	check, err := begin(ctx)
 	if err != nil {
 		return Result{}, Bounds{}, err
@@ -196,32 +224,19 @@ func DecApprox(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.
 	if int(t.Core[q]) < k {
 		return Result{}, Bounds{}, ErrNoKCore
 	}
-	e := newEnv(t.g, q, k, opt, check)
-	kRoot := t.LocateRoot(q, int32(k))
+	e := t.newEnv(q, k, opt, check)
+	defer t.releaseOps(e.ops)
+	fallback := func() Result { return fallbackResult(t.SubtreeVertices(t.LocateRoot(q, int32(k)))) }
 
 	var levels [][][]graph.KeywordID
-	var sub []graph.VertexID
-	if cancel.CatchBudget(func() {
-		levels = mineCandidates(t.g, q, k, s, fpm.FPGrowth, check)
-		sub = t.SubtreeVertices(kRoot)
-	}) {
+	if probe(func() { levels = mineCandidates(t.g, q, k, s, mine, check) }) {
 		return Result{}, Bounds{Upper: len(s), BudgetExhausted: true}, nil
 	}
 	if len(levels) == 0 {
-		return fallbackResult(sub), exactBounds(0), nil
+		return fallback(), exactBounds(0), nil
 	}
-
-	// Verification by local expansion: each probe grows q's connected
-	// component of {v : core(v) ≥ k ∧ S' ⊆ W(v)} by BFS and refines it with
-	// the usual Gk[S'] pipeline. That component is exactly what Dec's global
-	// R̂ scan feeds into ComponentOf — every vertex with core ≥ k reachable
-	// from q through S'-containing vertices lies in the kRoot subtree and
-	// shares ≥ |S'| query keywords — so the community is identical, but the
-	// cost is proportional to the community's neighbourhood rather than to
-	// the k-ĉore, which is what lets ε > 0 evaluation undercut the exact
-	// engine (compare core.eval.approx_ms with core.eval.core_ms in benchmark/).
 	minCore := int32(k)
-	best, b2 := approxLevels(levels, ap, func(_ int, set []graph.KeywordID) []graph.VertexID {
+	best, b2 := approxLevels(levels, ap, probe, func(set []graph.KeywordID) []graph.VertexID {
 		ball := e.ops.ExpandComponentOf(q, func(v graph.VertexID) bool {
 			return t.Core[v] >= minCore && t.g.HasAllKeywords(v, set)
 		})
@@ -231,44 +246,36 @@ func DecApprox(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.
 		return Result{Communities: best, LabelSize: b2.Lower}, b2, nil
 	}
 	if b2.Upper == 0 && !b2.BudgetExhausted {
-		return fallbackResult(sub), exactBounds(0), nil
+		return fallback(), exactBounds(0), nil
 	}
 	return Result{}, b2, nil
 }
 
 // CliqueApprox is the approximate counterpart of CliqueSearch under the same
 // contract as DecApprox.
-func CliqueApprox(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, ap Approx) (res Result, b Bounds, err error) {
-	return scopedApprox(ctx, t, q, k, s, ap, func(k int, check *cancel.Checker) func(cand []graph.VertexID) []graph.VertexID {
-		return func(cand []graph.VertexID) []graph.VertexID {
-			return clique.CommunityOf(t.g, cand, q, k, check)
-		}
-	})
+func CliqueApprox(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, ap Approx) (Result, Bounds, error) {
+	return scopedWalk(ctx, t, q, k, s, ap, cancel.CatchBudget, clique.CommunityOf)
 }
 
 // TrussApprox is the approximate counterpart of TrussSearchD (and of
 // TrussSearch when d ≤ 0) under the same contract as DecApprox.
-func TrussApprox(ctx context.Context, t *Tree, q graph.VertexID, k, d int, s []graph.KeywordID, ap Approx) (res Result, b Bounds, err error) {
-	return scopedApprox(ctx, t, q, k, s, ap, func(k int, check *cancel.Checker) func(cand []graph.VertexID) []graph.VertexID {
-		if d > 0 {
-			return func(cand []graph.VertexID) []graph.VertexID {
-				return kdTrussFixpoint(t.g, cand, q, k, d, check)
-			}
-		}
-		return func(cand []graph.VertexID) []graph.VertexID {
-			comm, _ := truss.CommunityOf(t.g, cand, q, k, check)
-			return comm
-		}
-	})
+func TrussApprox(ctx context.Context, t *Tree, q graph.VertexID, k, d int, s []graph.KeywordID, ap Approx) (Result, Bounds, error) {
+	return scopedWalk(ctx, t, q, k, s, ap, cancel.CatchBudget, trussVerifier(d))
 }
 
-// scopedApprox is the shared driver for the (k−1)-core-scoped modes (clique,
-// truss): mine with support k−1, probe levels through approxLevels with a
-// fixed scope, fall back to the structure-only community when every level is
-// refuted.
-func scopedApprox(
-	ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, ap Approx,
-	makeVerify func(k int, check *cancel.Checker) func(cand []graph.VertexID) []graph.VertexID,
+// A scopedVerifier returns q's community inside cand under the mode's
+// cohesiveness at k, or nil; clique.CommunityOf is one.
+type scopedVerifier func(g graph.View, cand []graph.VertexID, q graph.VertexID, k int, check *cancel.Checker) []graph.VertexID
+
+// scopedWalk is the shared walk of the (k−1)-core-scoped modes (clique,
+// truss), exact and approximate alike: mine with support k−1, probe levels
+// through approxLevels, fall back to the structure-only community when every
+// level is refuted. Each candidate is verified on q's connected component of
+// the S'-filtered (k−1)-core, grown by local expansion as in decWalk: the
+// clique and truss communities containing q are confined to that component,
+// so feeding it instead of the whole filtered (k−1)-core changes nothing.
+func scopedWalk(
+	ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, ap Approx, probe prober, verify scopedVerifier,
 ) (res Result, b Bounds, err error) {
 	check, err := begin(ctx)
 	if err != nil {
@@ -287,35 +294,26 @@ func scopedApprox(
 	if int(t.Core[q]) < k-1 {
 		return Result{}, Bounds{}, ErrNoKCore
 	}
-	root := t.LocateRoot(q, int32(k-1))
-	ops := graph.NewSetOps(t.g)
-	ops.SetChecker(check)
-	verify := makeVerify(k, check)
+	ops := t.acquireOps(check)
+	defer t.releaseOps(ops)
 
 	var levels [][][]graph.KeywordID
-	if cancel.CatchBudget(func() {
-		levels = mineCandidates(t.g, q, k-1, s, fpm.FPGrowth, check)
-	}) {
+	if probe(func() { levels = mineCandidates(t.g, q, k-1, s, fpm.FPGrowth, check) }) {
 		return Result{}, Bounds{Upper: len(s), BudgetExhausted: true}, nil
 	}
-
-	// Local expansion replaces the global scope filter, exactly as in
-	// DecApprox: the clique and truss communities containing q are confined
-	// to q's connected component of the filtered (k−1)-core, so feeding the
-	// component instead of the whole filtered scope changes nothing.
 	minCore := int32(k - 1)
-	best, b2 := approxLevels(levels, ap, func(_ int, set []graph.KeywordID) []graph.VertexID {
+	best, b2 := approxLevels(levels, ap, probe, func(set []graph.KeywordID) []graph.VertexID {
 		ball := ops.ExpandComponentOf(q, func(v graph.VertexID) bool {
 			return t.Core[v] >= minCore && t.g.HasAllKeywords(v, set)
 		})
-		return verify(ball)
+		return verify(t.g, ball, q, k, check)
 	})
 	if best != nil {
 		return Result{Communities: best, LabelSize: b2.Lower}, b2, nil
 	}
 	if b2.Upper == 0 && !b2.BudgetExhausted {
 		var comm []graph.VertexID
-		if cancel.CatchBudget(func() { comm = verify(t.SubtreeVertices(root)) }) {
+		if probe(func() { comm = verify(t.g, t.SubtreeVertices(t.LocateRoot(q, int32(k-1))), q, k, check) }) {
 			return Result{}, Bounds{BudgetExhausted: true}, nil
 		}
 		if comm == nil {

@@ -7,61 +7,92 @@ import (
 	"testing"
 
 	"github.com/acq-search/acq/internal/cancel"
+	"github.com/acq-search/acq/internal/clique"
 	"github.com/acq-search/acq/internal/graph"
 	"github.com/acq-search/acq/internal/testutil"
 )
 
-// approxRunners pairs each approximate driver with its exact counterpart.
-func approxRunners(tr *Tree, q graph.VertexID, k int, s []graph.KeywordID) map[string][2]func(ap Approx) (Result, Bounds, error) {
+// modeRunners holds, for one multi-candidate mode, the approximate entry point,
+// the exact entry point and the independent global-scan reference.
+type modeRunners struct {
+	approx     func(ap Approx) (Result, Bounds, error)
+	exact, ref func() (Result, error)
+}
+
+// approxRunners returns the runners of every multi-candidate mode.
+func approxRunners(tr *Tree, q graph.VertexID, k int, s []graph.KeywordID) map[string]modeRunners {
 	opt := DefaultOptions()
-	exactly := func(run func() (Result, error)) func(Approx) (Result, Bounds, error) {
-		return func(Approx) (Result, Bounds, error) {
-			res, err := run()
-			return res, Bounds{}, err
-		}
-	}
-	return map[string][2]func(ap Approx) (Result, Bounds, error){
+	return map[string]modeRunners{
 		"dec": {
-			func(ap Approx) (Result, Bounds, error) { return DecApprox(bgCtx, tr, q, k, s, opt, ap) },
-			exactly(func() (Result, error) { return Dec(bgCtx, tr, q, k, s, opt) }),
+			approx: func(ap Approx) (Result, Bounds, error) { return DecApprox(bgCtx, tr, q, k, s, opt, ap) },
+			exact:  func() (Result, error) { return Dec(bgCtx, tr, q, k, s, opt) },
+			ref:    func() (Result, error) { return refDec(bgCtx, tr, q, k, s, opt) },
 		},
 		"clique": {
-			func(ap Approx) (Result, Bounds, error) { return CliqueApprox(bgCtx, tr, q, k, s, ap) },
-			exactly(func() (Result, error) { return CliqueSearch(bgCtx, tr, q, k, s) }),
+			approx: func(ap Approx) (Result, Bounds, error) { return CliqueApprox(bgCtx, tr, q, k, s, ap) },
+			exact:  func() (Result, error) { return CliqueSearch(bgCtx, tr, q, k, s) },
+			ref:    func() (Result, error) { return refScoped(bgCtx, tr, q, k, s, clique.CommunityOf) },
 		},
 		"truss": {
-			func(ap Approx) (Result, Bounds, error) { return TrussApprox(bgCtx, tr, q, k, 0, s, ap) },
-			exactly(func() (Result, error) { return TrussSearch(bgCtx, tr, q, k, s) }),
+			approx: func(ap Approx) (Result, Bounds, error) { return TrussApprox(bgCtx, tr, q, k, 0, s, ap) },
+			exact:  func() (Result, error) { return TrussSearch(bgCtx, tr, q, k, s) },
+			ref:    func() (Result, error) { return refScoped(bgCtx, tr, q, k, s, trussVerifier(0)) },
 		},
 		"truss-d": {
-			func(ap Approx) (Result, Bounds, error) { return TrussApprox(bgCtx, tr, q, k, 2, s, ap) },
-			exactly(func() (Result, error) { return TrussSearchD(bgCtx, tr, q, k, 2, s) }),
+			approx: func(ap Approx) (Result, Bounds, error) { return TrussApprox(bgCtx, tr, q, k, 2, s, ap) },
+			exact:  func() (Result, error) { return TrussSearchD(bgCtx, tr, q, k, 2, s) },
+			ref:    func() (Result, error) { return refScoped(bgCtx, tr, q, k, s, trussVerifier(2)) },
 		},
 	}
 }
 
-// TestApproxZeroEpsilonMatchesExact: the zero Approx with no budget must
-// reproduce the exact evaluators byte for byte, including errors, and report
-// tight exact bounds.
+// randomQuerySet returns nil (S = W(q)) or a random subset of q's keywords,
+// occasionally padded with a keyword q lacks.
+func randomQuerySet(rng *rand.Rand, g graph.View, q graph.VertexID) []graph.KeywordID {
+	if rng.Intn(3) == 0 {
+		return nil
+	}
+	var s []graph.KeywordID
+	for _, w := range g.Keywords(q) {
+		if rng.Intn(2) == 0 {
+			s = append(s, w)
+		}
+	}
+	if rng.Intn(4) == 0 {
+		s = append(s, graph.KeywordID(rng.Intn(g.Dict().Size())))
+	}
+	return s
+}
+
+// TestApproxZeroEpsilonMatchesExact: the zero Approx with no budget and the
+// exact entry points must both reproduce the global-scan reference byte for
+// byte, including errors, and the walker must report tight exact bounds.
 func TestApproxZeroEpsilonMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 120; trial++ {
 		g := testutil.RandomGraph(rng, 5+rng.Intn(40), 1+5*rng.Float64(), 6, 4)
 		tr := BuildAdvanced(g)
 		q := graph.VertexID(rng.Intn(g.NumVertices()))
 		k := 1 + rng.Intn(4)
-		for name, pair := range approxRunners(tr, q, k, nil) {
-			approx, exact := pair[0], pair[1]
-			got, b, gotErr := approx(Approx{})
-			want, _, wantErr := exact(Approx{})
-			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-				t.Fatalf("%s trial %d: err = %v, exact err = %v", name, trial, gotErr, wantErr)
+		s := randomQuerySet(rng, g, q)
+		for name, run := range approxRunners(tr, q, k, s) {
+			want, wantErr := run.ref()
+			got, b, gotErr := run.approx(Approx{})
+			exact, exactErr := run.exact()
+			for _, c := range []struct {
+				who string
+				res Result
+				err error
+			}{{"approx ε=0", got, gotErr}, {"exact", exact, exactErr}} {
+				if (c.err == nil) != (wantErr == nil) || (c.err != nil && c.err.Error() != wantErr.Error()) {
+					t.Fatalf("%s trial %d S=%v: %s err = %v, reference err = %v", name, trial, s, c.who, c.err, wantErr)
+				}
+				if !reflect.DeepEqual(c.res, want) {
+					t.Fatalf("%s trial %d S=%v: %s result differs from the reference\ngot:       %+v\nreference: %+v", name, trial, s, c.who, c.res, want)
+				}
 			}
 			if gotErr != nil {
 				continue
-			}
-			if !reflect.DeepEqual(canonical(got), canonical(want)) || got.LabelSize != want.LabelSize || got.Fallback != want.Fallback {
-				t.Fatalf("%s trial %d: approx ε=0 result differs from exact\napprox: %+v\nexact:  %+v", name, trial, got, want)
 			}
 			if !b.Exact || b.Lower != want.LabelSize || b.Upper != want.LabelSize {
 				t.Fatalf("%s trial %d: bounds = %+v, want exact at %d", name, trial, b, want.LabelSize)
@@ -84,15 +115,14 @@ func TestApproxBoundsBracketExactScore(t *testing.T) {
 		tr := BuildAdvanced(g)
 		q := graph.VertexID(rng.Intn(g.NumVertices()))
 		k := 1 + rng.Intn(4)
-		for name, pair := range approxRunners(tr, q, k, nil) {
-			approx, exact := pair[0], pair[1]
-			want, _, wantErr := exact(Approx{})
+		for name, run := range approxRunners(tr, q, k, nil) {
+			want, wantErr := run.exact()
 			if wantErr != nil {
 				continue
 			}
 			for _, eps := range epsilons {
 				for _, topR := range []int{0, 1, 2} {
-					res, b, err := approx(Approx{Epsilon: eps, TopR: topR})
+					res, b, err := run.approx(Approx{Epsilon: eps, TopR: topR})
 					if err != nil {
 						t.Fatalf("%s trial %d ε=%g r=%d: %v", name, trial, eps, topR, err)
 					}

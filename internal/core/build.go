@@ -50,7 +50,7 @@ func (o BuildOptions) ResolvedWorkers(g graph.View) int { return o.resolve(g) }
 // component has no own vertices produce no node (the compressed tree of
 // Section 5.1), so both builders yield identical trees.
 func BuildBasic(g graph.View) *Tree {
-	t := &Tree{g: g, Core: kcore.Decompose(g)}
+	t := &Tree{g: g, Core: kcore.Decompose(g), scratch: new(scratchPool)}
 	t.KMax = kcore.MaxCore(t.Core)
 	ops := graph.NewSetOps(g)
 
@@ -117,7 +117,7 @@ func BuildAdvanced(g graph.View) *Tree {
 // same shape, same canonical ordering, same inverted lists.
 func BuildAdvancedOpts(g graph.View, o BuildOptions) *Tree {
 	workers := o.resolve(g)
-	t := &Tree{g: g, Core: kcore.DecomposeWorkers(g, workers)}
+	t := &Tree{g: g, Core: kcore.DecomposeWorkers(g, workers), scratch: new(scratchPool)}
 	t.KMax = kcore.MaxCore(t.Core)
 	buildAdvancedSkeleton(t, g)
 	t.finalizeWorkers(workers)

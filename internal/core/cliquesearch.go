@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 
-	"github.com/acq-search/acq/internal/cancel"
 	"github.com/acq-search/acq/internal/clique"
-	"github.com/acq-search/acq/internal/fpm"
 	"github.com/acq-search/acq/internal/graph"
 )
 
@@ -18,44 +16,9 @@ import (
 // Candidate keyword sets are mined from q's neighbourhood with minimum
 // support k−1 (a member of a k-clique has k−1 clique neighbours), and
 // verified from the largest candidates downward. A k-clique is contained in
-// the (k−1)-core, so the CL-tree prunes the scope first. k ≥ 2.
-func CliqueSearch(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID) (res Result, err error) {
-	check, err := begin(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer cancel.Recover(&err)
-	s, err = normalizeQuery(t.g, q, k, s)
-	if err != nil {
-		return Result{}, err
-	}
-	if k < 2 {
-		k = 2
-	}
-	if int(t.Core[q]) < k-1 {
-		return Result{}, ErrNoKCore
-	}
-	root := t.LocateRoot(q, int32(k-1))
-	scope := t.SubtreeVertices(root)
-	ops := graph.NewSetOps(t.g)
-	ops.SetChecker(check)
-
-	levels := mineCandidates(t.g, q, k-1, s, fpm.FPGrowth, check)
-	for l := len(levels); l >= 1; l-- {
-		var out []Community
-		for _, set := range levels[l-1] {
-			cand := ops.FilterByKeywords(scope, set)
-			if comm := clique.CommunityOf(t.g, cand, q, k, check); comm != nil {
-				out = append(out, Community{Label: set, Vertices: comm})
-			}
-		}
-		if len(out) > 0 {
-			return Result{Communities: out, LabelSize: l}, nil
-		}
-	}
-	comm := clique.CommunityOf(t.g, scope, q, k, check)
-	if comm == nil {
-		return Result{}, ErrNoKCore
-	}
-	return fallbackResult(comm), nil
+// the (k−1)-core, so each candidate is verified on q's component of the
+// keyword-filtered (k−1)-core (see scopedWalk). k ≥ 2.
+func CliqueSearch(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID) (Result, error) {
+	res, _, err := scopedWalk(ctx, t, q, k, s, Approx{}, runToEnd, clique.CommunityOf)
+	return res, err
 }

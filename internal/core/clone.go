@@ -21,6 +21,7 @@ func (t *Tree) Clone(g2 graph.View) *Tree {
 		KMax:      t.KMax,
 		NodeOf:    make([]*Node, len(t.NodeOf)),
 		nodeCount: t.nodeCount,
+		scratch:   new(scratchPool),
 	}
 	nt.Root = nt.cloneNode(t, t.Root, nil)
 	return nt

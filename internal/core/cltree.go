@@ -21,7 +21,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"github.com/acq-search/acq/internal/cancel"
 	"github.com/acq-search/acq/internal/graph"
 	"github.com/acq-search/acq/internal/kcore"
 	"github.com/acq-search/acq/internal/para"
@@ -146,7 +148,46 @@ type Tree struct {
 	// listed nodes (see RebindPostings). Only delta-published trees carry it;
 	// on the master tree and full clones it stays nil.
 	postings map[*Node]*NodePostings
+
+	// scratch recycles the n-sized SetOps of queries against g. Every
+	// constructor — builders, Rehydrate, Clone, CloneOpts, RebindPostings —
+	// starts a fresh pool, so pooled scratch never outlives its view.
+	scratch *scratchPool
 }
+
+// scratchPool is a Tree's pool of SetOps bound to the tree's view. Marker
+// epochs make a recycled SetOps as good as a new one, so each query pays for
+// its scratch once per pool rather than once per query.
+type scratchPool struct {
+	pool sync.Pool
+	// inUse counts SetOps handed out and not yet released.
+	inUse atomic.Int64
+}
+
+// acquireOps returns induced-subgraph scratch bound to t.g with check
+// attached, taken from the tree's pool when one is available. Pair every
+// call with a deferred releaseOps so cancellation and budget unwinds return
+// it too.
+func (t *Tree) acquireOps(check *cancel.Checker) *graph.SetOps {
+	t.scratch.inUse.Add(1)
+	ops, ok := t.scratch.pool.Get().(*graph.SetOps)
+	if !ok || ops.Graph() != t.g {
+		ops = graph.NewSetOps(t.g)
+	}
+	ops.SetChecker(check)
+	return ops
+}
+
+// releaseOps detaches the query's checker and returns ops to the pool.
+func (t *Tree) releaseOps(ops *graph.SetOps) {
+	ops.SetChecker(nil)
+	t.scratch.inUse.Add(-1)
+	t.scratch.pool.Put(ops)
+}
+
+// ScratchInUse reports how many pooled SetOps are currently handed out:
+// zero whenever no query is running on t.
+func (t *Tree) ScratchInUse() int64 { return t.scratch.inUse.Load() }
 
 // Graph returns the indexed graph view.
 func (t *Tree) Graph() graph.View { return t.g }
@@ -421,7 +462,7 @@ func Rehydrate(g graph.View, root *Node) (*Tree, error) {
 // keyword-heavy graphs). As with the builders, any worker count yields an
 // identical tree.
 func RehydrateOpts(g graph.View, root *Node, o BuildOptions) (*Tree, error) {
-	t := &Tree{g: g, Root: root, Core: make([]int32, g.NumVertices())}
+	t := &Tree{g: g, Root: root, Core: make([]int32, g.NumVertices()), scratch: new(scratchPool)}
 	seen := make([]bool, g.NumVertices())
 	count := 0
 	var walk func(n *Node) error

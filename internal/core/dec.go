@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"github.com/acq-search/acq/internal/cancel"
 	"github.com/acq-search/acq/internal/fpm"
@@ -22,7 +21,12 @@ import (
 //     the largest candidates downward reaches the maximal qualified size with
 //     far less work than growing from singletons.
 //
-// MineWithApriori in Options-like ablations is exposed via DecWithMiner.
+// Verification departs from Algorithm 4 in how a candidate S' is checked:
+// instead of filtering the k-ĉore's R̂ buckets, it grows q's connected
+// component of {v : core(v) ≥ k ∧ S' ⊆ W(v)} by BFS from q (local expansion,
+// see decWalk). The community is the same; the cost follows the community's
+// neighbourhood instead of the size of the k-ĉore. DecWithMiner swaps
+// FP-Growth for another miner (the FP-Growth vs Apriori ablation).
 //
 // ctx bounds the evaluation: cancellation is observed at amortised
 // checkpoints inside the peeling/BFS loops, and a canceled search returns an
@@ -31,66 +35,15 @@ func Dec(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywor
 	return DecWithMiner(ctx, t, q, k, s, opt, fpm.FPGrowth)
 }
 
-// Miner enumerates all itemsets with support ≥ minSupport; fpm.FPGrowth and
-// fpm.Apriori both satisfy it.
+// Miner enumerates all itemsets with support ≥ minSupport, ordered by size
+// and each sorted ascending; fpm.FPGrowth and fpm.Apriori both satisfy it.
 type Miner func(txns [][]fpm.Item, minSupport int) []fpm.Itemset
 
 // DecWithMiner is Dec with a pluggable frequent-itemset miner (used by the
 // FP-Growth vs Apriori ablation bench).
-func DecWithMiner(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options, mine Miner) (res Result, err error) {
-	check, err := begin(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer cancel.Recover(&err)
-	s, err = normalizeQuery(t.g, q, k, s)
-	if err != nil {
-		return Result{}, err
-	}
-	if int(t.Core[q]) < k {
-		return Result{}, ErrNoKCore
-	}
-	e := newEnv(t.g, q, k, opt, check)
-	kRoot := t.LocateRoot(q, int32(k))
-
-	// --- Candidate generation from q's neighbourhood (Section 6.2 step 1).
-	levels := mineCandidates(t.g, q, k, s, mine, check)
-	if len(levels) == 0 {
-		return fallbackResult(t.SubtreeVertices(kRoot)), nil
-	}
-
-	// --- Verification, largest candidates first (Section 6.2 step 2).
-	// Bucket the k-ĉore's vertices by how many query keywords they share
-	// with q; R̂ accumulates the vertices sharing ≥ l keywords as l descends.
-	sub := t.SubtreeVertices(kRoot)
-	h := len(levels) // largest candidate size
-	shared := make([][]graph.VertexID, h+1)
-	for _, v := range sub {
-		check.Tick(1)
-		i := t.g.CountSharedKeywords(v, s)
-		if i > h {
-			i = h
-		}
-		shared[i] = append(shared[i], v)
-	}
-	rHat := append([]graph.VertexID(nil), shared[h]...)
-
-	for l := h; l >= 1; l-- {
-		var out []Community
-		for _, set := range levels[l-1] {
-			cand := e.ops.FilterByKeywords(rHat, set)
-			if comm := e.communityOf(cand); comm != nil {
-				out = append(out, Community{Label: set, Vertices: comm})
-			}
-		}
-		if len(out) > 0 {
-			return Result{Communities: out, LabelSize: l}, nil
-		}
-		if l >= 2 {
-			rHat = append(rHat, shared[l-1]...)
-		}
-	}
-	return fallbackResult(sub), nil
+func DecWithMiner(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options, mine Miner) (Result, error) {
+	res, _, err := decWalk(ctx, t, q, k, s, opt, Approx{}, mine, runToEnd)
+	return res, err
 }
 
 // CommunitiesByLabelSize verifies every candidate keyword set mined from q's
@@ -111,7 +64,8 @@ func CommunitiesByLabelSize(ctx context.Context, t *Tree, q graph.VertexID, k in
 	if int(t.Core[q]) < k {
 		return nil, ErrNoKCore
 	}
-	e := newEnv(t.g, q, k, opt, check)
+	e := t.newEnv(q, k, opt, check)
+	defer t.releaseOps(e.ops)
 	kRoot := t.LocateRoot(q, int32(k))
 	levels := mineCandidates(t.g, q, k, s, fpm.FPGrowth, check)
 	if maxSize > 0 && len(levels) > maxSize {
@@ -142,34 +96,53 @@ func mineCandidates(g graph.View, q graph.VertexID, k int, s []graph.KeywordID, 
 	if len(neighbors) < k {
 		return nil
 	}
-	txns := make([][]fpm.Item, 0, len(neighbors))
+	// One backing array holds every transaction; ends[i] closes the i-th.
+	var items []fpm.Item
+	ends := make([]int, 0, len(neighbors))
 	for _, v := range neighbors {
 		check.Tick(1)
-		var txn []fpm.Item
+		n := len(items)
 		for _, w := range s {
 			if g.HasKeyword(v, w) {
-				txn = append(txn, fpm.Item(w))
+				items = append(items, fpm.Item(w))
 			}
 		}
-		if len(txn) > 0 {
-			txns = append(txns, txn)
+		if len(items) > n {
+			ends = append(ends, len(items))
 		}
+	}
+	txns := make([][]fpm.Item, len(ends))
+	start := 0
+	for i, end := range ends {
+		txns[i] = items[start:end]
+		start = end
 	}
 	sets := mine(txns, k)
 	if len(sets) == 0 {
 		return nil
 	}
-	grouped := fpm.GroupBySize(sets)
-	out := make([][][]graph.KeywordID, len(grouped))
-	for i, bucket := range grouped {
-		for _, itemset := range bucket {
-			set := make([]graph.KeywordID, len(itemset.Items))
-			for j, it := range itemset.Items {
-				set[j] = graph.KeywordID(it)
-			}
-			sort.Slice(set, func(a, b int) bool { return set[a] < set[b] })
-			out[i] = append(out[i], set)
+	// The sets come ordered by size, so each level is one run of them.
+	total := 0
+	for _, set := range sets {
+		total += len(set.Items)
+	}
+	keywords := make([]graph.KeywordID, 0, total)
+	flat := make([][]graph.KeywordID, len(sets))
+	for i, set := range sets {
+		n := len(keywords)
+		for _, it := range set.Items {
+			keywords = append(keywords, graph.KeywordID(it))
 		}
+		flat[i] = keywords[n:len(keywords):len(keywords)]
+	}
+	out := make([][][]graph.KeywordID, len(sets[len(sets)-1].Items))
+	for i := 0; i < len(sets); {
+		j := i + 1
+		for j < len(sets) && len(sets[j].Items) == len(sets[i].Items) {
+			j++
+		}
+		out[len(sets[i].Items)-1] = flat[i:j:j]
+		i = j
 	}
 	return out
 }

@@ -26,7 +26,8 @@ func IncS(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywo
 	if int(t.Core[q]) < k {
 		return Result{}, ErrNoKCore
 	}
-	e := newEnv(t.g, q, k, opt, check)
+	e := t.newEnv(q, k, opt, check)
+	defer t.releaseOps(e.ops)
 
 	type entry struct {
 		set  []graph.KeywordID
@@ -110,7 +111,8 @@ func IncT(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywo
 	if int(t.Core[q]) < k {
 		return Result{}, ErrNoKCore
 	}
-	e := newEnv(t.g, q, k, opt, check)
+	e := t.newEnv(q, k, opt, check)
+	defer t.releaseOps(e.ops)
 	kRoot := t.LocateRoot(q, int32(k))
 
 	type qualified struct {

@@ -39,7 +39,8 @@ func SJ(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keyword
 	if int(t.Core[q]) < k {
 		return Result{}, ErrNoKCore
 	}
-	e := newEnv(t.g, q, k, DefaultOptions(), check)
+	e := t.newEnv(q, k, DefaultOptions(), check)
+	defer t.releaseOps(e.ops)
 	root := t.LocateRoot(q, int32(k))
 	cand := filterByJaccard(t.g, t.SubtreeVertices(root), s, tau, check)
 	comm := e.communityOf(cand)

@@ -21,6 +21,7 @@ func (t *Tree) CloneOpts(g2 graph.View, o BuildOptions) *Tree {
 		KMax:      t.KMax,
 		NodeOf:    make([]*Node, len(t.NodeOf)),
 		nodeCount: t.nodeCount,
+		scratch:   new(scratchPool),
 	}
 	// Pass 1 (serial): allocate the skeleton and wire parent/child pointers —
 	// cheap pointer work proportional to the node count, not the vertex count.

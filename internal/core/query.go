@@ -74,12 +74,19 @@ type env struct {
 	check *cancel.Checker
 }
 
-// newEnv assembles the per-query state, wiring the cancellation checker into
-// the induced-subgraph scratch space so every peel/BFS loop observes ctx.
+// newEnv assembles the per-query state of an index-free evaluation, wiring
+// the cancellation checker into fresh induced-subgraph scratch space so
+// every peel/BFS loop observes ctx.
 func newEnv(g graph.View, q graph.VertexID, k int, opt Options, check *cancel.Checker) *env {
 	ops := graph.NewSetOps(g)
 	ops.SetChecker(check)
 	return &env{g: g, ops: ops, q: q, k: k, opt: opt, check: check}
+}
+
+// newEnv is the package-level newEnv over scratch taken from t's pool; the
+// caller must defer t.releaseOps(e.ops).
+func (t *Tree) newEnv(q graph.VertexID, k int, opt Options, check *cancel.Checker) *env {
+	return &env{g: t.g, ops: t.acquireOps(check), q: q, k: k, opt: opt, check: check}
 }
 
 // begin starts a cancellable evaluation: it builds the amortised checker for

@@ -57,6 +57,7 @@ func (t *Tree) RebindPostings(g2 graph.View, over map[*Node]*NodePostings) *Tree
 	nt := *t
 	nt.g = g2
 	nt.postings = over
+	nt.scratch = new(scratchPool) // t's pooled SetOps are bound to t.g
 	return &nt
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"github.com/acq-search/acq/internal/cancel"
-	"github.com/acq-search/acq/internal/fpm"
 	"github.com/acq-search/acq/internal/graph"
 	"github.com/acq-search/acq/internal/truss"
 )
@@ -16,51 +15,23 @@ import (
 // vertex's removal can break edge supports — so verification alternates
 // truss peeling and distance filtering until a fixpoint. d ≤ 0 means
 // unbounded (plain TrussSearch).
-func TrussSearchD(ctx context.Context, t *Tree, q graph.VertexID, k, d int, s []graph.KeywordID) (res Result, err error) {
-	if d <= 0 {
-		return TrussSearch(ctx, t, q, k, s)
-	}
-	check, err := begin(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer cancel.Recover(&err)
-	s, err = normalizeQuery(t.g, q, k, s)
-	if err != nil {
-		return Result{}, err
-	}
-	if k < 2 {
-		k = 2
-	}
-	if int(t.Core[q]) < k-1 {
-		return Result{}, ErrNoKCore
-	}
-	root := t.LocateRoot(q, int32(k-1))
-	scope := t.SubtreeVertices(root)
-	ops := graph.NewSetOps(t.g)
-	ops.SetChecker(check)
+func TrussSearchD(ctx context.Context, t *Tree, q graph.VertexID, k, d int, s []graph.KeywordID) (Result, error) {
+	res, _, err := scopedWalk(ctx, t, q, k, s, Approx{}, runToEnd, trussVerifier(d))
+	return res, err
+}
 
-	levels := mineCandidates(t.g, q, k-1, s, fpm.FPGrowth, check)
-	verify := func(set []graph.KeywordID) []graph.VertexID {
-		cand := ops.FilterByKeywords(scope, set)
-		return kdTrussFixpoint(t.g, cand, q, k, d, check)
-	}
-	for l := len(levels); l >= 1; l-- {
-		var out []Community
-		for _, set := range levels[l-1] {
-			if comm := verify(set); comm != nil {
-				out = append(out, Community{Label: set, Vertices: comm})
-			}
-		}
-		if len(out) > 0 {
-			return Result{Communities: out, LabelSize: l}, nil
+// trussVerifier verifies a candidate by truss peeling, alternated with
+// in-community distance filtering when d > 0.
+func trussVerifier(d int) scopedVerifier {
+	if d > 0 {
+		return func(g graph.View, cand []graph.VertexID, q graph.VertexID, k int, check *cancel.Checker) []graph.VertexID {
+			return kdTrussFixpoint(g, cand, q, k, d, check)
 		}
 	}
-	comm := kdTrussFixpoint(t.g, scope, q, k, d, check)
-	if comm == nil {
-		return Result{}, ErrNoKCore
+	return func(g graph.View, cand []graph.VertexID, q graph.VertexID, k int, check *cancel.Checker) []graph.VertexID {
+		comm, _ := truss.CommunityOf(g, cand, q, k, check)
+		return comm
 	}
-	return fallbackResult(comm), nil
 }
 
 // kdTrussFixpoint alternates truss peeling with in-community distance
@@ -124,52 +95,9 @@ func ballWithin(comm []graph.VertexID, edges [][2]graph.VertexID, q graph.Vertex
 // The search reuses Dec's strategy: candidate keyword sets are mined from
 // q's neighbourhood — a vertex of a k-truss has degree ≥ k−1 inside it, so
 // every qualified set must be shared by at least k−1 neighbours of q — and
-// verified from the largest candidates down, with keyword filtering feeding
-// truss.CommunityOf instead of the k-core pipeline. k must be ≥ 2.
-func TrussSearch(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID) (res Result, err error) {
-	check, err := begin(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	defer cancel.Recover(&err)
-	s, err = normalizeQuery(t.g, q, k, s)
-	if err != nil {
-		return Result{}, err
-	}
-	if k < 2 {
-		k = 2
-	}
-	// A k-truss is contained in the (k−1)-core: use the CL-tree to restrict
-	// the search space before any triangle counting.
-	if int(t.Core[q]) < k-1 {
-		return Result{}, ErrNoKCore
-	}
-	root := t.LocateRoot(q, int32(k-1))
-	scope := t.SubtreeVertices(root)
-	ops := graph.NewSetOps(t.g)
-	ops.SetChecker(check)
-
-	levels := mineCandidates(t.g, q, k-1, s, fpm.FPGrowth, check)
-	verify := func(set []graph.KeywordID) []graph.VertexID {
-		cand := ops.FilterByKeywords(scope, set)
-		comm, _ := truss.CommunityOf(t.g, cand, q, k, check)
-		return comm
-	}
-	for l := len(levels); l >= 1; l-- {
-		var out []Community
-		for _, set := range levels[l-1] {
-			if comm := verify(set); comm != nil {
-				out = append(out, Community{Label: set, Vertices: comm})
-			}
-		}
-		if len(out) > 0 {
-			return Result{Communities: out, LabelSize: l}, nil
-		}
-	}
-	// No shared keywords: fall back to the plain k-truss community of q.
-	comm, _ := truss.CommunityOf(t.g, scope, q, k, check)
-	if comm == nil {
-		return Result{}, ErrNoKCore
-	}
-	return fallbackResult(comm), nil
+// verified from the largest candidates down on q's component of the
+// keyword-filtered (k−1)-core (a k-truss is contained in the (k−1)-core),
+// with truss.CommunityOf instead of the k-core pipeline. k must be ≥ 2.
+func TrussSearch(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID) (Result, error) {
+	return TrussSearchD(ctx, t, q, k, 0, s)
 }

@@ -33,7 +33,8 @@ func SW(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keyword
 	if !t.g.HasAllKeywords(q, s) {
 		return Result{}, nil
 	}
-	e := newEnv(t.g, q, k, DefaultOptions(), check)
+	e := t.newEnv(q, k, DefaultOptions(), check)
+	defer t.releaseOps(e.ops)
 	root := t.LocateRoot(q, int32(k))
 	cand := t.Candidates(root, s, true)
 	comm := e.communityOf(cand)
@@ -65,7 +66,8 @@ func SWT(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywor
 	if t.g.CountSharedKeywords(q, s) < need {
 		return Result{}, nil
 	}
-	e := newEnv(t.g, q, k, DefaultOptions(), check)
+	e := t.newEnv(q, k, DefaultOptions(), check)
+	defer t.releaseOps(e.ops)
 	root := t.LocateRoot(q, int32(k))
 	sub := t.SubtreeVertices(root)
 	cand := filterByThreshold(t.g, sub, s, need, check)

@@ -6,7 +6,11 @@
 // as an independent implementation for cross-checking and ablation.
 package fpm
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
 
 // Item is an item identifier (the ACQ layer uses keyword IDs).
 type Item = int32
@@ -21,163 +25,195 @@ type Itemset struct {
 // sortItemsets orders itemsets canonically (by size, then lexicographically)
 // so results from different miners compare equal.
 func sortItemsets(sets []Itemset) {
-	sort.Slice(sets, func(i, j int) bool {
-		a, b := sets[i].Items, sets[j].Items
-		if len(a) != len(b) {
-			return len(a) < len(b)
+	slices.SortFunc(sets, func(a, b Itemset) int {
+		if c := cmp.Compare(len(a.Items), len(b.Items)); c != 0 {
+			return c
 		}
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
+		return slices.Compare(a.Items, b.Items)
 	})
-}
-
-// GroupBySize buckets itemsets by |Items|; index i of the result holds the
-// sets of size i+1. Trailing empty buckets are trimmed.
-func GroupBySize(sets []Itemset) [][]Itemset {
-	maxSize := 0
-	for _, s := range sets {
-		if len(s.Items) > maxSize {
-			maxSize = len(s.Items)
-		}
-	}
-	out := make([][]Itemset, maxSize)
-	for _, s := range sets {
-		out[len(s.Items)-1] = append(out[len(s.Items)-1], s)
-	}
-	return out
 }
 
 // FPGrowth mines all itemsets with support ≥ minSupport from txns. Each
 // transaction must contain no duplicate items. minSupport < 1 is treated
-// as 1.
+// as 1. The result is in canonical order (by size, then lexicographically);
+// its Items share one backing array.
 func FPGrowth(txns [][]Item, minSupport int) []Itemset {
 	if minSupport < 1 {
 		minSupport = 1
 	}
-	freq := map[Item]int{}
+	m := miners.Get().(*fpMiner)
+	defer miners.Put(m)
+	return m.run(txns, int32(minSupport))
+}
+
+// miners recycles FP-Growth's working memory: the trees of one run live in
+// an arena that is reset, not freed, so a run allocates only its result.
+var miners = sync.Pool{New: func() any { return new(fpMiner) }}
+
+const none = -1 // the nil node index
+
+// fpNode is an FP-tree node in the miner's arena. Items are identified by
+// their rank in the global order (descending frequency), and links are
+// arena indices, so the arena can grow without invalidating them.
+type fpNode struct {
+	rank, count            int32
+	parent, child, sibling int32
+	next                   int32 // header-table chain of rank
+}
+
+// fpTree is one (conditional) FP-tree: its root node and a header table of
+// n ranks at tabs[tab:], with the ranks' total supports at tabs[tab+n:].
+type fpTree struct{ root, tab, n int32 }
+
+// rankedItem is a frequent item with its support and global rank.
+type rankedItem struct{ item, support, rank int32 }
+
+type fpMiner struct {
+	byItem  []rankedItem // frequent items sorted by item: item → rank
+	items   []Item       // rank → item
+	nodes   []fpNode
+	tabs    []int32
+	scratch []int32 // all items of the input, then one path at a time
+	suffix  []Item
+	found   []emitted
+	flat    []Item // the Items of every emitted itemset, back to back
+}
+
+type emitted struct{ off, n, support int32 }
+
+func (m *fpMiner) run(txns [][]Item, minSupport int32) []Itemset {
+	// Item supports: sort every occurrence, then count the runs.
+	all := m.scratch[:0]
 	for _, t := range txns {
-		for _, it := range t {
-			freq[it]++
-		}
+		all = append(all, t...)
 	}
-	// Global item order: descending frequency, ascending item ID for ties.
-	items := make([]Item, 0, len(freq))
-	for it, c := range freq {
-		if c >= minSupport {
-			items = append(items, it)
+	slices.Sort(all)
+	m.byItem = m.byItem[:0]
+	for i := 0; i < len(all); {
+		j := i + 1
+		for j < len(all) && all[j] == all[i] {
+			j++
 		}
+		if int32(j-i) >= minSupport {
+			m.byItem = append(m.byItem, rankedItem{item: all[i], support: int32(j - i)})
+		}
+		i = j
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if freq[items[i]] != freq[items[j]] {
-			return freq[items[i]] > freq[items[j]]
+	m.scratch = all
+	// Global item order: descending support, ascending item ID for ties.
+	m.items = m.items[:0]
+	for _, e := range m.byItem {
+		m.items = append(m.items, e.item)
+	}
+	slices.SortFunc(m.items, func(a, b Item) int {
+		if c := cmp.Compare(m.lookup(b).support, m.lookup(a).support); c != 0 {
+			return c
 		}
-		return items[i] < items[j]
+		return cmp.Compare(a, b)
 	})
-	rank := make(map[Item]int, len(items))
-	for i, it := range items {
-		rank[it] = i
+	for r, it := range m.items {
+		m.lookup(it).rank = int32(r)
 	}
 
-	tree := newFPTree()
-	scratch := make([]Item, 0, 16)
+	m.nodes, m.tabs = m.nodes[:0], m.tabs[:0]
+	m.suffix, m.found, m.flat = m.suffix[:0], m.found[:0], m.flat[:0]
+	tree := m.newTree(int32(len(m.items)))
 	for _, t := range txns {
-		scratch = scratch[:0]
+		path := m.scratch[:0]
 		for _, it := range t {
-			if _, ok := rank[it]; ok {
-				scratch = append(scratch, it)
+			if e := m.lookup(it); e != nil {
+				path = append(path, e.rank)
 			}
 		}
-		sort.Slice(scratch, func(i, j int) bool { return rank[scratch[i]] < rank[scratch[j]] })
-		tree.insert(scratch, 1)
+		slices.Sort(path)
+		m.scratch = path
+		m.insert(tree, path, 1)
 	}
+	m.mine(tree, minSupport)
 
-	var out []Itemset
-	mine(tree, nil, minSupport, &out)
+	if len(m.found) == 0 {
+		return nil
+	}
+	items := slices.Clone(m.flat)
+	out := make([]Itemset, len(m.found))
+	for i, f := range m.found {
+		out[i] = Itemset{Items: items[f.off : f.off+f.n : f.off+f.n], Support: int(f.support)}
+	}
 	sortItemsets(out)
 	return out
 }
 
-type fpNode struct {
-	item     Item
-	count    int
-	parent   *fpNode
-	children map[Item]*fpNode
-	next     *fpNode // header-table chain
-}
-
-type fpTree struct {
-	root   *fpNode
-	header map[Item]*fpNode // item -> first node in chain
-	counts map[Item]int     // item -> total support in this tree
-	order  []Item           // items in insertion order of first appearance
-}
-
-func newFPTree() *fpTree {
-	return &fpTree{
-		root:   &fpNode{children: map[Item]*fpNode{}},
-		header: map[Item]*fpNode{},
-		counts: map[Item]int{},
+// lookup returns the frequent-item entry of it, or nil if it is infrequent.
+func (m *fpMiner) lookup(it Item) *rankedItem {
+	i, ok := slices.BinarySearchFunc(m.byItem, it, func(e rankedItem, it Item) int { return cmp.Compare(e.item, it) })
+	if !ok {
+		return nil
 	}
+	return &m.byItem[i]
 }
 
-// insert adds a (pre-ordered, pre-filtered) transaction with multiplicity
-// count.
-func (t *fpTree) insert(txn []Item, count int) {
-	node := t.root
-	for _, it := range txn {
-		child, ok := node.children[it]
-		if !ok {
-			child = &fpNode{item: it, parent: node, children: map[Item]*fpNode{}}
-			node.children[it] = child
-			child.next = t.header[it]
-			t.header[it] = child
-			if t.counts[it] == 0 {
-				t.order = append(t.order, it)
-			}
+// newTree appends an empty tree over ranks [0, n) to the arena.
+func (m *fpMiner) newTree(n int32) fpTree {
+	t := fpTree{root: int32(len(m.nodes)), tab: int32(len(m.tabs)), n: n}
+	m.nodes = append(m.nodes, fpNode{rank: none, parent: none, child: none, sibling: none, next: none})
+	for i := int32(0); i < n; i++ {
+		m.tabs = append(m.tabs, none)
+	}
+	for i := int32(0); i < n; i++ {
+		m.tabs = append(m.tabs, 0)
+	}
+	return t
+}
+
+// insert adds a rank-ascending path with multiplicity count.
+func (m *fpMiner) insert(t fpTree, path []int32, count int32) {
+	cur := t.root
+	for _, r := range path {
+		c := m.nodes[cur].child
+		for c != none && m.nodes[c].rank != r {
+			c = m.nodes[c].sibling
 		}
-		child.count += count
-		t.counts[it] += count
-		node = child
+		if c == none {
+			c = int32(len(m.nodes))
+			m.nodes = append(m.nodes, fpNode{rank: r, parent: cur, child: none, sibling: m.nodes[cur].child, next: m.tabs[t.tab+r]})
+			m.nodes[cur].child = c
+			m.tabs[t.tab+r] = c
+		}
+		m.nodes[c].count += count
+		m.tabs[t.tab+t.n+r] += count
+		cur = c
 	}
 }
 
-// mine emits every frequent itemset of tree suffixed by suffix.
-func mine(tree *fpTree, suffix []Item, minSupport int, out *[]Itemset) {
-	for _, it := range tree.order {
-		sup := tree.counts[it]
-		if sup < minSupport {
+// mine emits every frequent itemset of t suffixed by m.suffix. Each
+// conditional tree is built on top of the arena and popped once mined.
+func (m *fpMiner) mine(t fpTree, minSupport int32) {
+	for r := t.n - 1; r >= 0; r-- {
+		support := m.tabs[t.tab+t.n+r]
+		if support < minSupport {
 			continue
 		}
-		set := make([]Item, 0, len(suffix)+1)
-		set = append(set, suffix...)
-		set = append(set, it)
-		sorted := append([]Item(nil), set...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		*out = append(*out, Itemset{Items: sorted, Support: sup})
+		m.suffix = append(m.suffix, m.items[r])
+		off := int32(len(m.flat))
+		m.flat = append(m.flat, m.suffix...)
+		slices.Sort(m.flat[off:])
+		m.found = append(m.found, emitted{off: off, n: int32(len(m.suffix)), support: support})
 
-		// Conditional tree: prefix paths of every node carrying it.
-		cond := newFPTree()
-		for node := tree.header[it]; node != nil; node = node.next {
-			var path []Item
-			for p := node.parent; p != nil && p.parent != nil; p = p.parent {
-				path = append(path, p.item)
+		// Conditional tree: the prefix paths of every node carrying r.
+		nodes, tabs := len(m.nodes), len(m.tabs)
+		cond := m.newTree(r)
+		for nd := m.tabs[t.tab+r]; nd != none; nd = m.nodes[nd].next {
+			path := m.scratch[:0]
+			for p := m.nodes[nd].parent; p != t.root; p = m.nodes[p].parent {
+				path = append(path, m.nodes[p].rank)
 			}
-			// path is leaf→root; reverse to keep the global order.
-			for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-				path[l], path[r] = path[r], path[l]
-			}
-			if len(path) > 0 {
-				cond.insert(path, node.count)
-			}
+			slices.Reverse(path) // leaf→root back to rank order
+			m.scratch = path
+			m.insert(cond, path, m.nodes[nd].count)
 		}
-		// Drop infrequent items from the conditional tree by rebuilding it:
-		// cheaper to filter during the recursive mine via the support check,
-		// which the loop above already performs.
-		mine(cond, set, minSupport, out)
+		m.mine(cond, minSupport)
+		m.nodes, m.tabs = m.nodes[:nodes], m.tabs[:tabs]
+		m.suffix = m.suffix[:len(m.suffix)-1]
 	}
 }
 
@@ -209,9 +245,7 @@ func Apriori(txns [][]Item, minSupport int) []Itemset {
 	// Sorted transactions for subset counting.
 	sorted := make([][]Item, len(txns))
 	for i, t := range txns {
-		st := append([]Item(nil), t...)
-		sort.Slice(st, func(a, b int) bool { return st[a] < st[b] })
-		sorted[i] = st
+		sorted[i] = slices.Sorted(slices.Values(t))
 	}
 	for len(level) > 0 {
 		cands := aprioriGen(level)
@@ -313,13 +347,5 @@ func key(s []Item) string {
 }
 
 func sortSets(sets [][]Item) {
-	sort.Slice(sets, func(i, j int) bool {
-		a, b := sets[i], sets[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
+	slices.SortFunc(sets, slices.Compare[[]Item])
 }

@@ -85,24 +85,6 @@ func TestMinersEdgeCases(t *testing.T) {
 	}
 }
 
-func TestGroupBySize(t *testing.T) {
-	sets := []Itemset{
-		{Items: []Item{1}, Support: 5},
-		{Items: []Item{1, 2, 3}, Support: 2},
-		{Items: []Item{2}, Support: 4},
-	}
-	groups := GroupBySize(sets)
-	if len(groups) != 3 {
-		t.Fatalf("groups = %d, want 3", len(groups))
-	}
-	if len(groups[0]) != 2 || len(groups[1]) != 0 || len(groups[2]) != 1 {
-		t.Fatalf("group sizes = %d/%d/%d", len(groups[0]), len(groups[1]), len(groups[2]))
-	}
-	if got := GroupBySize(nil); len(got) != 0 {
-		t.Fatalf("GroupBySize(nil) = %v", got)
-	}
-}
-
 // Property: FP-Growth and Apriori produce identical results on random
 // transaction databases — two independent implementations cross-check each
 // other.
