@@ -6,8 +6,10 @@ package acq_test
 // a changed line names the query whose answer moved.
 //
 // The file is self-describing: the check parses each line back into its
-// query and re-renders it through Graph.Search, Snapshot.Search and a graph
-// reloaded from a SaveSnapshot container. Only generation draws queries.
+// query and re-renders it through Graph.Search, Snapshot.Search, a graph
+// reloaded from a SaveSnapshot container, an Overlay snapshot after a
+// mutation batch that leaves the graph as it was, and graphs indexed with 1
+// and 8 build workers. Only generation draws queries.
 // The clique and truss modes can cost seconds on a dense ĉore, so at
 // generation a heavy-mode query is kept only if it completes within
 // goldenHeavyDeadline; which ones qualified is then fixed by the file, and
@@ -59,6 +61,8 @@ const (
 	goldenTau        = 0.4
 	// goldenHeavyDeadline admits a clique or truss query into the golden.
 	goldenHeavyDeadline = 2 * time.Millisecond
+	// goldenOverlaySeed draws the overlay searcher's mutation batch.
+	goldenOverlaySeed = 37
 )
 
 // goldenQueries draws n (q, k, S) triples and expands each into the six
@@ -217,19 +221,20 @@ func goldenAnswer(q acq.Query, res acq.Result, err error) string {
 	return fmt.Sprintf("%s labels=[%s] fnv=%016x", out, strings.Join(labels, ";"), h.Sum64())
 }
 
-// goldenGraph is one preset with the three searchers the golden is checked
-// against.
+// goldenGraph is one preset with the searchers the golden is checked
+// against: the indexed Graph, its Snapshot, a graph reloaded from a
+// SaveSnapshot container, an Overlay snapshot after a no-net-change mutation
+// batch, and graphs indexed with 1 and 8 build workers.
 type goldenGraph struct {
 	g        *acq.Graph
 	searches map[string]func(acq.Query) (acq.Result, error)
 }
 
+// goldenSearchers is the order the check runs the searchers in.
+var goldenSearchers = []string{"graph", "snapshot", "mapped", "overlay", "workers-1", "workers-8"}
+
 func loadGoldenGraph(t *testing.T, preset string) goldenGraph {
-	g, err := acq.Synthetic(preset, goldenScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.BuildIndex()
+	g := goldenIndexed(t, preset)
 	var buf bytes.Buffer
 	if err := g.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -239,11 +244,82 @@ func loadGoldenGraph(t *testing.T, preset string) goldenGraph {
 		t.Fatal(err)
 	}
 	snap := g.Snapshot()
-	return goldenGraph{g: g, searches: map[string]func(acq.Query) (acq.Result, error){
+	overlay := goldenOverlay(t, preset)
+	searches := map[string]func(acq.Query) (acq.Result, error){
 		"graph":    func(q acq.Query) (acq.Result, error) { return g.Search(bgCtx, q) },
 		"snapshot": func(q acq.Query) (acq.Result, error) { return snap.Search(bgCtx, q) },
 		"mapped":   func(q acq.Query) (acq.Result, error) { return mapped.Search(bgCtx, q) },
-	}}
+		"overlay":  func(q acq.Query) (acq.Result, error) { return overlay.Search(bgCtx, q) },
+	}
+	for _, n := range []int{1, 8} {
+		acq.ForceBuildWorkers(t, n)
+		built := goldenIndexed(t, preset)
+		acq.ForceBuildWorkers(t, 0) // back to automatic sizing
+		if _, w := built.IndexBuildStats(); w != n {
+			t.Fatalf("%s: index built with %d workers, want %d", preset, w, n)
+		}
+		searches[fmt.Sprintf("workers-%d", n)] = func(q acq.Query) (acq.Result, error) { return built.Search(bgCtx, q) }
+	}
+	return goldenGraph{g: g, searches: searches}
+}
+
+// goldenIndexed loads preset at the golden's scale and builds its index.
+func goldenIndexed(t *testing.T, preset string) *acq.Graph {
+	g, err := acq.Synthetic(preset, goldenScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.BuildIndex()
+	return g
+}
+
+// goldenOverlay returns a snapshot of preset served as an Overlay over its
+// frozen base. One seeded batch removes and re-adds a keyword on 16 vertices
+// and removes and re-inserts 4 edges, so the graph ends where it started
+// while every read goes through the overlay's delta rows and the maintained
+// index.
+func goldenOverlay(t *testing.T, preset string) *acq.Snapshot {
+	g := goldenIndexed(t, preset)
+	g.SetCompactionThreshold(1 << 20)
+	g.Snapshot() // start serving: the next write publishes an overlay
+	rng := rand.New(rand.NewSource(goldenOverlaySeed))
+	var removes, adds []acq.Mutation
+	for touched := map[int32]bool{}; len(touched) < 16; {
+		v := int32(rng.Intn(g.NumVertices()))
+		w := g.Keywords(v)
+		if touched[v] || len(w) == 0 {
+			continue
+		}
+		touched[v] = true
+		word := w[rng.Intn(len(w))]
+		removes = append(removes, acq.Mutation{Op: acq.OpRemoveKeyword, Vertex: v, Keyword: word})
+		adds = append(adds, acq.Mutation{Op: acq.OpAddKeyword, Vertex: v, Keyword: word})
+	}
+	for picked := map[[2]int32]bool{}; len(picked) < 4; {
+		u := int32(rng.Intn(g.NumVertices()))
+		ns := acq.Neighbors(g, u)
+		if len(ns) == 0 {
+			continue
+		}
+		v := ns[rng.Intn(len(ns))]
+		e := [2]int32{min(u, v), max(u, v)}
+		if picked[e] {
+			continue
+		}
+		picked[e] = true
+		removes = append(removes, acq.Mutation{Op: acq.OpRemoveEdge, U: u, V: v})
+		adds = append(adds, acq.Mutation{Op: acq.OpInsertEdge, U: u, V: v})
+	}
+	for i, r := range g.ApplyMutations(append(removes, adds...)) {
+		if !r.Changed || r.Err != nil {
+			t.Fatalf("%s: overlay mutation %d had no effect (%v)", preset, i, r.Err)
+		}
+	}
+	snap := g.Snapshot()
+	if ws := g.WriteStats(); ws.DeltaKeywordRows == 0 || ws.Compactions != 0 {
+		t.Fatalf("%s: snapshot is not an overlay: %+v", preset, ws)
+	}
+	return snap
 }
 
 // generateGolden draws every preset's queries and renders them through
@@ -300,7 +376,7 @@ func TestAnswersGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s:%d: %v", answersGolden, i+1, err)
 		}
-		for _, name := range []string{"graph", "snapshot", "mapped"} {
+		for _, name := range goldenSearchers {
 			res, err := gg.searches[name](q)
 			if got := goldenAnswer(q, res, err); got != answer {
 				t.Errorf("%s:%d (%s): %s\n- %s\n+ %s", answersGolden, i+1, name, head, answer, got)

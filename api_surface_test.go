@@ -2,9 +2,10 @@ package acq_test
 
 // apidiff-style API-surface check: the exported surface of the root acq
 // package and the engine package is rendered deterministically and compared
-// against the committed goldens under api/. A mismatch means the public API
-// changed — if the change is intentional (like the v1 Search redesign),
-// regenerate the goldens with
+// against the committed goldens under api/, and so is the served closure:
+// the in-module packages acqd links. A mismatch means the public API or the
+// served code changed — if the change is intentional (like the v1 Search
+// redesign, or a package joining acqd's closure), regenerate the goldens with
 //
 //	go test -run TestAPISurface -update-api .
 //
@@ -13,8 +14,11 @@ package acq_test
 
 import (
 	"flag"
+	"go/build"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"github.com/acq-search/acq/internal/apisurface"
@@ -26,13 +30,15 @@ func TestAPISurface(t *testing.T) {
 	cases := []struct {
 		dir    string
 		golden string
+		render func(dir string) (string, error)
 	}{
-		{".", "api/acq.txt"},
-		{"engine", "api/engine.txt"},
+		{".", "api/acq.txt", apisurface.Render},
+		{"engine", "api/engine.txt", apisurface.Render},
+		{"cmd/acqd", "api/acqd-deps.txt", inModuleDeps},
 	}
 	for _, c := range cases {
 		t.Run(c.golden, func(t *testing.T) {
-			got, err := apisurface.Render(c.dir)
+			got, err := c.render(c.dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,6 +65,43 @@ func TestAPISurface(t *testing.T) {
 			}
 		})
 	}
+}
+
+// modulePath is the import path of this module's root package.
+const modulePath = "github.com/acq-search/acq"
+
+// inModuleDeps lists, one import path per line and sorted, the packages of
+// this module that the package in dir imports directly or transitively (dir
+// itself excluded). Test files and other platforms' files do not count.
+func inModuleDeps(dir string) (string, error) {
+	seen := map[string]bool{}
+	var visit func(dir string) error
+	visit = func(dir string) error {
+		pkg, err := build.ImportDir(dir, 0)
+		if err != nil {
+			return err
+		}
+		for _, imp := range pkg.Imports {
+			rel, ok := strings.CutPrefix(imp, modulePath)
+			if !ok || (rel != "" && rel[0] != '/') || seen[imp] {
+				continue
+			}
+			seen[imp] = true
+			if err := visit(filepath.Join(".", filepath.FromSlash(rel))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := visit(dir); err != nil {
+		return "", err
+	}
+	deps := make([]string, 0, len(seen))
+	for p := range seen {
+		deps = append(deps, p)
+	}
+	sort.Strings(deps)
+	return strings.Join(deps, "\n") + "\n", nil
 }
 
 // diffHint returns the first few differing lines — enough to see what moved

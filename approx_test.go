@@ -306,3 +306,46 @@ func TestSearchBatchBudgetComposesWithTimeout(t *testing.T) {
 		t.Fatalf("budgeted query err = %v, want per-query deadline", err)
 	}
 }
+
+// TestBudgetOnlyWalkerKeepsVerifiedLevels: a budget alone (ε = 0, no top-r)
+// runs core queries on the same walker as ε > 0, so a budget that runs out
+// after a community was verified returns it — with LabelSize equal to the
+// lower bound and bounds bracketing the exact score — rather than the empty
+// [0, upper] bracket an exact evaluator cut short can only offer.
+func TestBudgetOnlyWalkerKeepsVerifiedLevels(t *testing.T) {
+	g, _ := slowFixture(t)
+	partial := 0
+	for v := int32(0); int(v) < g.NumVertices() && partial < 3; v++ {
+		if c, _ := g.CoreNumber(v); c < 4 {
+			continue
+		}
+		q := acq.Query{VertexID: v, K: 4}
+		want, err := g.Search(bgCtx, q)
+		if err != nil || want.Fallback {
+			continue
+		}
+		q.Budget = 1 << 40
+		full, err := g.Search(bgCtx, q)
+		if err != nil || !full.Exact || !reflect.DeepEqual(full.Communities, want.Communities) {
+			t.Fatalf("q=%d: unspent budget changed the answer: %+v (%v), want %+v", v, full, err, want)
+		}
+		q.Budget = full.Work - 1
+		res, err := g.Search(bgCtx, q)
+		if err != nil || !res.BudgetExhausted || res.Exact {
+			t.Fatalf("q=%d budget %d of %d: %+v (%v), want an exhausted partial result", v, q.Budget, full.Work, res, err)
+		}
+		if res.ScoreLowerBound > want.LabelSize || res.ScoreUpperBound < want.LabelSize {
+			t.Fatalf("q=%d: bounds [%d,%d] miss exact %d", v, res.ScoreLowerBound, res.ScoreUpperBound, want.LabelSize)
+		}
+		if len(res.Communities) == 0 {
+			continue
+		}
+		partial++
+		if res.LabelSize != res.ScoreLowerBound {
+			t.Fatalf("q=%d: partial LabelSize %d, lower bound %d", v, res.LabelSize, res.ScoreLowerBound)
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no budget-only core query kept a verified community")
+	}
+}

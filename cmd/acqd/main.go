@@ -93,7 +93,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "synthetic preset scale")
 	addr := flag.String("addr", engine.DefaultAddr, "listen address")
 	cache := flag.Int("cache", 0, "per-snapshot result cache size (0 = default, negative disables)")
-	workers := flag.Int("batch-workers", 0, "worker pool size for batch endpoints (0 = one per CPU)")
 	defaultTimeout := flag.Duration("default-timeout", 0, "query timeout applied when a request asks for none (0 = no default)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on client-requested query timeouts (0 = no cap)")
 	maxBatch := flag.Int("max-batch-queries", 0, "max queries accepted per batch request (0 = default, negative = unlimited)")
@@ -136,7 +135,6 @@ func main() {
 	e := engine.New(nil, engine.Config{
 		Addr:                 *addr,
 		CacheSize:            *cache,
-		BatchWorkers:         *workers,
 		DefaultTimeout:       *defaultTimeout,
 		MaxTimeout:           *maxTimeout,
 		MaxBatchQueries:      *maxBatch,

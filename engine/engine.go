@@ -88,10 +88,6 @@ type Config struct {
 	// CacheSize is the per-snapshot query-result cache capacity: 0 keeps
 	// acq.DefaultResultCacheSize, negative disables result caching.
 	CacheSize int
-	// BatchWorkers bounds the worker pool of POST /v1/batch; ≤ 0 means one
-	// worker per CPU. Clients may request fewer workers than this bound,
-	// never more.
-	BatchWorkers int
 	// DefaultTimeout bounds each query evaluation when the request does not
 	// ask for a timeout itself (single queries via their request deadline,
 	// batch queries via an implied per-query timeout); 0 means no default.

@@ -686,14 +686,10 @@ func (e *Engine) serveBatchV1(w http.ResponseWriter, r *http.Request, c *Collect
 	})
 }
 
-// clampWorkers resolves a client-requested worker count against the
-// operator's BatchWorkers bound (one per CPU when unset): clients may
-// request fewer workers than the server allows, never more.
+// clampWorkers resolves a client-requested worker count against one worker
+// per CPU: clients may request fewer workers, never more.
 func (e *Engine) clampWorkers(requested int) int {
-	limit := e.cfg.BatchWorkers
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
+	limit := runtime.GOMAXPROCS(0)
 	if requested <= 0 || requested > limit {
 		return limit
 	}

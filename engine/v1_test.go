@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -180,9 +181,19 @@ func TestV1Batch(t *testing.T) {
 		t.Fatalf("result[3] = %+v, want bad_request for missing vertex", resp.Results[3].Error)
 	}
 
-	// Client-requested workers are clamped by the operator bound — a huge
-	// value must not fan out past BatchWorkers (and must still succeed).
-	capped := New(testGraph(t), Config{BatchWorkers: 1, Logf: func(string, ...any) {}})
+	// Client-requested workers are clamped to one per CPU — a huge value
+	// must not fan out past GOMAXPROCS (and must still succeed), and an
+	// unset one gets the full pool.
+	capped := testEngine(t)
+	if got, limit := capped.clampWorkers(100000), runtime.GOMAXPROCS(0); got != limit {
+		t.Fatalf("clampWorkers(100000) = %d, want GOMAXPROCS %d", got, limit)
+	}
+	if got, limit := capped.clampWorkers(0), runtime.GOMAXPROCS(0); got != limit {
+		t.Fatalf("clampWorkers(0) = %d, want GOMAXPROCS %d", got, limit)
+	}
+	if got := capped.clampWorkers(1); got != 1 {
+		t.Fatalf("clampWorkers(1) = %d, want 1", got)
+	}
 	rec = do(t, capped.Handler(), "POST", "/v1/batch", `{"queries":[{"vertex":"jack","k":3},{"vertex":"bob","k":3}],"workers":100000}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("capped batch: %d %s", rec.Code, rec.Body)

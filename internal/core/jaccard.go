@@ -20,9 +20,10 @@ import (
 // W(q). tau ∈ (0, 1]. Unlike Variant 2 (SWT), which only counts how much of
 // S a member covers, the full Jaccard also penalises members whose keyword
 // sets are dominated by unrelated keywords — the per-pair notion behind the
-// paper's CPJ quality metric, promoted to a query predicate. The CL-tree
-// restricts the search to the k-ĉore containing q before any similarity
-// computation.
+// paper's CPJ quality metric, promoted to a query predicate. Like SWT, the
+// single candidate is verified by local expansion from q through vertices of
+// core ≥ k (expandCandidate), so similarity is computed only on the
+// community's neighbourhood.
 func SJ(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, tau float64) (res Result, err error) {
 	check, err := begin(ctx)
 	if err != nil {
@@ -39,15 +40,7 @@ func SJ(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keyword
 	if int(t.Core[q]) < k {
 		return Result{}, ErrNoKCore
 	}
-	e := t.newEnv(q, k, DefaultOptions(), check)
-	defer t.releaseOps(e.ops)
-	root := t.LocateRoot(q, int32(k))
-	cand := filterByJaccard(t.g, t.SubtreeVertices(root), s, tau, check)
-	comm := e.communityOf(cand)
-	if comm == nil {
-		return Result{}, nil
-	}
-	return Result{Communities: []Community{{Label: s, Vertices: comm}}, LabelSize: len(s)}, nil
+	return singleResult(s, t.expandCandidate(q, k, jaccardRule(t.g, s, tau), check)), nil
 }
 
 // BasicGJ is the index-free counterpart of SJ filtering inside the k-ĉore.
@@ -69,31 +62,18 @@ func BasicGJ(ctx context.Context, g graph.View, q graph.VertexID, k int, s []gra
 	if ck == nil {
 		return Result{}, ErrNoKCore
 	}
-	cand := filterByJaccard(g, ck, s, tau, check)
-	comm := e.communityOf(cand)
-	if comm == nil {
-		return Result{}, nil
-	}
-	return Result{Communities: []Community{{Label: s, Vertices: comm}}, LabelSize: len(s)}, nil
+	return singleResult(s, e.communityOf(filterVertices(ck, jaccardRule(g, s, tau), check))), nil
 }
 
-// filterByJaccard keeps the vertices whose full Jaccard similarity to s
-// reaches tau: |W(v) ∩ S| / (|W(v)| + |S| − |W(v) ∩ S|) ≥ tau, one sorted
-// merge per vertex.
-func filterByJaccard(g graph.View, vs []graph.VertexID, s []graph.KeywordID, tau float64, check *cancel.Checker) []graph.VertexID {
-	if len(s) == 0 {
-		return nil
-	}
-	out := make([]graph.VertexID, 0, len(vs))
-	for _, v := range vs {
-		check.Tick(1)
+// jaccardRule is SJ's keyword predicate: the full Jaccard similarity of
+// W(v) to S, |W(v) ∩ S| / (|W(v)| + |S| − |W(v) ∩ S|), reaches tau. It never
+// holds for an empty S.
+func jaccardRule(g graph.View, s []graph.KeywordID, tau float64) func(graph.VertexID) bool {
+	return func(v graph.VertexID) bool {
 		shared := g.CountSharedKeywords(v, s)
 		union := len(g.Keywords(v)) + len(s) - shared
-		if union > 0 && float64(shared)/float64(union) >= tau {
-			out = append(out, v)
-		}
+		return len(s) > 0 && float64(shared)/float64(union) >= tau
 	}
-	return out
 }
 
 // ExpandByEditDistance widens a query keyword set with every dictionary word

@@ -62,13 +62,14 @@ func TestDecAllocatesLessThanNPerQuery(t *testing.T) {
 }
 
 // TestWalkersReadSubtreeOnlyForFallback: the walkers materialise the k-ĉore
-// (SubtreeVertices) only for a fallback answer. A clone whose nodes carry no
-// vertex lists makes SubtreeVertices return nothing while core numbers and
-// core-locating still work, so every non-fallback answer must come out of
-// the stripped tree unchanged.
+// (SubtreeVertices) only for a fallback answer, and the expansion-verified
+// variants (SWT, SJ) never do. A clone whose nodes carry no vertex lists
+// makes SubtreeVertices return nothing while core numbers and core-locating
+// still work, so every non-fallback answer must come out of the stripped tree
+// unchanged.
 func TestWalkersReadSubtreeOnlyForFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	checked := 0
+	checked := map[string]int{}
 	for trial := 0; trial < 80; trial++ {
 		g := testutil.RandomGraph(rng, 10+rng.Intn(40), 2+5*rng.Float64(), 6, 4)
 		tr := BuildAdvanced(g)
@@ -83,19 +84,23 @@ func TestWalkersReadSubtreeOnlyForFallback(t *testing.T) {
 			"dec":     func(x *Tree) (Result, error) { return Dec(bgCtx, x, q, k, s, DefaultOptions()) },
 			"clique":  func(x *Tree) (Result, error) { return CliqueSearch(bgCtx, x, q, k, s) },
 			"truss-d": func(x *Tree) (Result, error) { return TrussSearchD(bgCtx, x, q, k, 2, s) },
+			"swt":     func(x *Tree) (Result, error) { return SWT(bgCtx, x, q, k, s, 0.5) },
+			"sj":      func(x *Tree) (Result, error) { return SJ(bgCtx, x, q, k, s, 0.4) },
 		} {
 			want, err := run(tr)
 			if err != nil || want.Fallback {
 				continue
 			}
-			checked++
+			if len(want.Communities) > 0 {
+				checked[name]++
+			}
 			if got, err := run(stripped); err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s trial %d: answer read the subtree vertex lists: got %+v (%v), want %+v", name, trial, got, err, want)
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no non-fallback answers exercised")
+	if checked["dec"] == 0 || checked["swt"] == 0 || checked["sj"] == 0 {
+		t.Fatalf("too few answers exercised: %v", checked)
 	}
 }
 

@@ -36,16 +36,13 @@ func SW(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keyword
 	e := t.newEnv(q, k, DefaultOptions(), check)
 	defer t.releaseOps(e.ops)
 	root := t.LocateRoot(q, int32(k))
-	cand := t.Candidates(root, s, true)
-	comm := e.communityOf(cand)
-	if comm == nil {
-		return Result{}, nil
-	}
-	return Result{Communities: []Community{{Label: s, Vertices: comm}}, LabelSize: len(s)}, nil
+	return singleResult(s, e.communityOf(t.Candidates(root, s, true))), nil
 }
 
 // SWT answers Variant 2 with the CL-tree (Appendix G: Search by keyWords with
-// Threshold): members must contain at least ⌈θ·|S|⌉ keywords of S.
+// Threshold): members must contain at least ⌈θ·|S|⌉ keywords of S. The
+// single candidate is verified by local expansion from q (expandCandidate),
+// so the cost follows the community's neighbourhood, not q's k-ĉore.
 func SWT(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, theta float64) (res Result, err error) {
 	check, err := begin(ctx)
 	if err != nil {
@@ -62,20 +59,26 @@ func SWT(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywor
 	if int(t.Core[q]) < k {
 		return Result{}, ErrNoKCore
 	}
-	need := thresholdCount(len(s), theta)
-	if t.g.CountSharedKeywords(q, s) < need {
-		return Result{}, nil
+	return singleResult(s, t.expandCandidate(q, k, thresholdRule(t.g, s, theta), check)), nil
+}
+
+// expandCandidate verifies the single candidate of a keyword-predicate
+// variant (SWT, SJ) the way the walkers verify theirs: it grows q's
+// connected component of {v : core(v) ≥ k ∧ keep(v)} by BFS and refines it
+// with the Gk pipeline. That component is q's component of the keep-filtered
+// k-ĉore, so the community is the one a scan of the whole k-ĉore finds.
+// ExpandComponentOf never tests q itself, hence the keep(q) guard. nil means
+// no community.
+func (t *Tree) expandCandidate(q graph.VertexID, k int, keep func(graph.VertexID) bool, check *cancel.Checker) []graph.VertexID {
+	if !keep(q) {
+		return nil
 	}
 	e := t.newEnv(q, k, DefaultOptions(), check)
 	defer t.releaseOps(e.ops)
-	root := t.LocateRoot(q, int32(k))
-	sub := t.SubtreeVertices(root)
-	cand := filterByThreshold(t.g, sub, s, need, check)
-	comm := e.communityOf(cand)
-	if comm == nil {
-		return Result{}, nil
-	}
-	return Result{Communities: []Community{{Label: s, Vertices: comm}}, LabelSize: len(s)}, nil
+	minCore := int32(k)
+	return e.communityOfComponent(e.ops.ExpandComponentOf(q, func(v graph.VertexID) bool {
+		return t.Core[v] >= minCore && keep(v)
+	}))
 }
 
 // BasicGV1 answers Variant 1 without an index (Appendix G, Algorithm 10):
@@ -95,12 +98,7 @@ func BasicGV1(ctx context.Context, g graph.View, q graph.VertexID, k int, s []gr
 	if ck == nil {
 		return Result{}, ErrNoKCore
 	}
-	cand := e.ops.FilterByKeywords(ck, s)
-	comm := e.communityOf(cand)
-	if comm == nil {
-		return Result{}, nil
-	}
-	return Result{Communities: []Community{{Label: s, Vertices: comm}}, LabelSize: len(s)}, nil
+	return singleResult(s, e.communityOf(e.ops.FilterByKeywords(ck, s))), nil
 }
 
 // BasicWV1 answers Variant 1 without an index (Appendix G, Algorithm 11):
@@ -119,13 +117,7 @@ func BasicWV1(ctx context.Context, g graph.View, q graph.VertexID, k int, s []gr
 	if kcore.KHatCoreScratch(e.ops, q, k) == nil {
 		return Result{}, ErrNoKCore
 	}
-	all := allVertices(g)
-	cand := e.ops.FilterByKeywords(all, s)
-	comm := e.communityOf(cand)
-	if comm == nil {
-		return Result{}, nil
-	}
-	return Result{Communities: []Community{{Label: s, Vertices: comm}}, LabelSize: len(s)}, nil
+	return singleResult(s, e.communityOf(e.ops.FilterByKeywords(allVertices(g), s))), nil
 }
 
 // BasicGV2 answers Variant 2 without an index, filtering inside the k-ĉore.
@@ -147,12 +139,7 @@ func BasicGV2(ctx context.Context, g graph.View, q graph.VertexID, k int, s []gr
 	if ck == nil {
 		return Result{}, ErrNoKCore
 	}
-	cand := filterByThreshold(g, ck, s, thresholdCount(len(s), theta), check)
-	comm := e.communityOf(cand)
-	if comm == nil {
-		return Result{}, nil
-	}
-	return Result{Communities: []Community{{Label: s, Vertices: comm}}, LabelSize: len(s)}, nil
+	return singleResult(s, e.communityOf(filterVertices(ck, thresholdRule(g, s, theta), check))), nil
 }
 
 // BasicWV2 answers Variant 2 without an index, filtering the whole graph.
@@ -173,12 +160,7 @@ func BasicWV2(ctx context.Context, g graph.View, q graph.VertexID, k int, s []gr
 	if kcore.KHatCoreScratch(e.ops, q, k) == nil {
 		return Result{}, ErrNoKCore
 	}
-	cand := filterByThreshold(g, allVertices(g), s, thresholdCount(len(s), theta), check)
-	comm := e.communityOf(cand)
-	if comm == nil {
-		return Result{}, nil
-	}
-	return Result{Communities: []Community{{Label: s, Vertices: comm}}, LabelSize: len(s)}, nil
+	return singleResult(s, e.communityOf(filterVertices(allVertices(g), thresholdRule(g, s, theta), check))), nil
 }
 
 // validateVariantQuery validates (q, k) and canonicalises S without
@@ -205,15 +187,33 @@ func thresholdCount(size int, theta float64) int {
 	return need
 }
 
-func filterByThreshold(g graph.View, vs []graph.VertexID, s []graph.KeywordID, need int, check *cancel.Checker) []graph.VertexID {
+// thresholdRule is Variant 2's keyword predicate: v contains at least
+// ⌈θ·|S|⌉ keywords of S.
+func thresholdRule(g graph.View, s []graph.KeywordID, theta float64) func(graph.VertexID) bool {
+	need := thresholdCount(len(s), theta)
+	return func(v graph.VertexID) bool { return g.CountSharedKeywords(v, s) >= need }
+}
+
+// filterVertices keeps the vertices of vs that satisfy keep, ticking check
+// once per vertex: the index-free variants' whole-set keyword filter.
+func filterVertices(vs []graph.VertexID, keep func(graph.VertexID) bool, check *cancel.Checker) []graph.VertexID {
 	out := make([]graph.VertexID, 0, len(vs))
 	for _, v := range vs {
 		check.Tick(1)
-		if g.CountSharedKeywords(v, s) >= need {
+		if keep(v) {
 			out = append(out, v)
 		}
 	}
 	return out
+}
+
+// singleResult wraps a single-candidate variant's community (nil: none
+// exists) as a result labelled with the whole keyword set S.
+func singleResult(s []graph.KeywordID, comm []graph.VertexID) Result {
+	if comm == nil {
+		return Result{}
+	}
+	return Result{Communities: []Community{{Label: s, Vertices: comm}}, LabelSize: len(s)}
 }
 
 func allVertices(g graph.View) []graph.VertexID {

@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"github.com/acq-search/acq/internal/datagen"
 	"github.com/acq-search/acq/internal/graph"
 	"github.com/acq-search/acq/internal/testutil"
 )
@@ -190,5 +192,80 @@ func TestVariant2MembershipQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVariantsMatchReferenceScan: SWT and SJ, which verify their candidate
+// by local expansion from q, return exactly what a scan of q's whole k-ĉore
+// returns (refSWT, refSJ), errors included. The trials run on small seeded
+// dblp-shaped graphs and cover keyword sets with words q lacks, the empty
+// set, θ ∈ {0.01, 0.5, 1}, and τ values q itself fails.
+func TestVariantsMatchReferenceScan(t *testing.T) {
+	base, err := datagen.Preset("dblp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trials, answered, qFailsTau, emptyS, foreignS int
+	for trial := 0; trial < 120; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		cfg := base.Scale(0.002 + 0.004*rng.Float64())
+		cfg.Seed = int64(trial)
+		g := datagen.Generate(cfg)
+		tr := BuildAdvanced(g)
+		for i := 0; i < 4; i++ {
+			trials++
+			q := graph.VertexID(rng.Intn(g.NumVertices()))
+			k := 1 + rng.Intn(int(tr.Core[q])+1)
+			var s []graph.KeywordID
+			switch rng.Intn(4) {
+			case 0: // nil: W(q) for SJ, the empty set for SWT
+			case 1:
+				s = []graph.KeywordID{}
+				emptyS++
+			default:
+				s = randomQuerySet(rng, g, q)
+				for j := rng.Intn(3); j > 0; j-- {
+					s = append(s, graph.KeywordID(rng.Intn(g.Dict().Size())))
+				}
+				if len(s) > 0 && !g.HasAllKeywords(q, graph.SortKeywordSet(append([]graph.KeywordID(nil), s...))) {
+					foreignS++
+				}
+			}
+			for _, theta := range []float64{0.01, 0.5, 1} {
+				want, wantErr := refSWT(bgCtx, tr, q, k, s, theta)
+				got, err := SWT(bgCtx, tr, q, k, s, theta)
+				if !errors.Is(err, wantErr) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d SWT(q=%d k=%d S=%v θ=%g) = %+v (%v), reference %+v (%v)", trial, q, k, s, theta, got, err, want, wantErr)
+				}
+				if len(want.Communities) > 0 {
+					answered++
+				}
+			}
+			// τ just above q's own similarity to S makes q fail its own
+			// predicate; the others straddle typical member similarities.
+			norm, _ := normalizeQuery(g, q, k, s)
+			selfJ := 0.0
+			if w := len(g.Keywords(q)); w > 0 {
+				selfJ = float64(len(norm)) / float64(w)
+			}
+			for _, tau := range []float64{0.2, 0.5, 1, math.Min(1, selfJ+0.01)} {
+				if tau > selfJ {
+					qFailsTau++
+				}
+				want, wantErr := refSJ(bgCtx, tr, q, k, s, tau)
+				got, err := SJ(bgCtx, tr, q, k, s, tau)
+				if !errors.Is(err, wantErr) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d SJ(q=%d k=%d S=%v τ=%g) = %+v (%v), reference %+v (%v)", trial, q, k, s, tau, got, err, want, wantErr)
+				}
+				if len(want.Communities) > 0 {
+					answered++
+				}
+			}
+		}
+	}
+	t.Logf("%d queries: %d non-empty answers, %d with τ above q's own similarity, %d empty S, %d S with words q lacks",
+		trials, answered, qFailsTau, emptyS, foreignS)
+	if answered == 0 || qFailsTau == 0 || emptyS == 0 || foreignS == 0 {
+		t.Fatal("the trials missed a case the differential must cover")
 	}
 }

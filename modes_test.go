@@ -9,6 +9,7 @@ package acq_test
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	acq "github.com/acq-search/acq"
@@ -213,6 +214,67 @@ func TestSearcherInterface(t *testing.T) {
 		batch := s.SearchBatch(bgCtx, []acq.Query{q, q}, acq.BatchOptions{Workers: 2})
 		if len(batch) != 2 || batch[0].Err != nil || !reflect.DeepEqual(batch[0].Result, want) {
 			t.Fatalf("SearchBatch through Searcher: %+v", batch)
+		}
+	}
+}
+
+// TestModeAlgorithmRoutingWithoutIndex pins, for every mode × algorithm
+// pair, whether a graph without an index answers (the index-free baselines)
+// or returns ErrNoIndex, exactly, approximately and under a work budget, so
+// the evaluator switch cannot silently reroute an ablation. An exact answer
+// must also match the indexed default evaluator's.
+func TestModeAlgorithmRoutingWithoutIndex(t *testing.T) {
+	g := figure1Graph(t)
+	indexed := figure1Graph(t)
+	indexed.BuildIndex()
+	table := []struct {
+		mode    acq.Mode
+		answers []acq.Algorithm
+	}{
+		{"", []acq.Algorithm{acq.AlgoBasicG, acq.AlgoBasicW}},
+		{acq.ModeCore, []acq.Algorithm{acq.AlgoBasicG, acq.AlgoBasicW}},
+		{acq.ModeFixed, []acq.Algorithm{acq.AlgoBasicG, acq.AlgoBasicW}},
+		{acq.ModeThreshold, []acq.Algorithm{acq.AlgoBasicG, acq.AlgoBasicW}},
+		{acq.ModeSimilar, []acq.Algorithm{acq.AlgoBasicG}},
+		{acq.ModeClique, nil},
+		{acq.ModeTruss, nil},
+	}
+	knobs := []struct {
+		name string
+		set  func(*acq.Query)
+	}{
+		{"exact", func(*acq.Query) {}},
+		{"epsilon", func(q *acq.Query) { q.Epsilon = 0.5 }},
+		{"top-r", func(q *acq.Query) { q.TopR = 1 }},
+		{"budget", func(q *acq.Query) { q.Budget = 1 << 30 }},
+	}
+	for _, row := range table {
+		for _, algo := range []acq.Algorithm{"", acq.AlgoDec, acq.AlgoIncS, acq.AlgoIncT, acq.AlgoBasicG, acq.AlgoBasicW} {
+			for _, knob := range knobs {
+				q := acq.Query{Vertex: "Jack", K: 3, Keywords: []string{"research", "sports"}, Mode: row.mode, Algorithm: algo, Theta: 0.5, Tau: 0.5}
+				knob.set(&q)
+				res, err := g.Search(bgCtx, q)
+				if !slices.Contains(row.answers, algo) {
+					if !errors.Is(err, acq.ErrNoIndex) {
+						t.Errorf("mode %q algo %q %s: err = %v, want ErrNoIndex", row.mode, algo, knob.name, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("mode %q algo %q %s: err = %v, want an answer", row.mode, algo, knob.name, err)
+					continue
+				}
+				if len(res.Communities) == 0 {
+					t.Errorf("mode %q algo %q %s: no community for Jack", row.mode, algo, knob.name)
+				}
+				if knob.name != "exact" {
+					continue
+				}
+				want, err := indexed.Search(bgCtx, acq.Query{Vertex: q.Vertex, K: q.K, Keywords: q.Keywords, Mode: q.Mode, Theta: q.Theta, Tau: q.Tau})
+				if err != nil || !reflect.DeepEqual(res, want) {
+					t.Errorf("mode %q algo %q: %+v, indexed default %+v (%v)", row.mode, algo, res, want, err)
+				}
+			}
 		}
 	}
 }

@@ -107,7 +107,10 @@ type Query struct {
 	// An exhausted budget ends the evaluation early: the result carries
 	// whatever was proven by then (possibly no communities) with
 	// BudgetExhausted set and sound score bounds. Every mode and algorithm
-	// honours the budget. 0 means unbounded.
+	// honours the budget. Core (with AlgoDec), clique and truss run the same
+	// level walk with or without ε, so a budget alone returns the best level
+	// verified before it ran out; the other evaluators return no communities
+	// and the bracket [0, largest possible label]. 0 means unbounded.
 	Budget int64
 	// TopR, when > 0, caps the candidate keyword sets verified per label
 	// size in the multi-candidate modes, trading completeness of the
@@ -142,14 +145,17 @@ type Result struct {
 	ScoreUpperBound int
 	// Exact reports that the result is identical to what exact evaluation
 	// would return: the bounds met and no candidate was skipped. Always
-	// true when Epsilon, Budget and TopR are all zero; possibly true even
-	// with ε > 0 when the search happened to complete exactly.
+	// true when Epsilon, Budget and TopR are all zero, and when a budget
+	// alone was never reached; possibly true even with ε > 0 when the
+	// search happened to complete exactly.
 	Exact bool
 	// Work counts the work units actually spent, at checkpoint granularity.
 	// Only metered when Epsilon, Budget or TopR is set; 0 otherwise.
 	Work int64
 	// BudgetExhausted reports that Query.Budget ran out mid-evaluation and
-	// the result is whatever had been established by then.
+	// the result is whatever had been established by then: for core (with
+	// AlgoDec), clique and truss the communities of the best level verified
+	// (possibly none), elsewhere no communities.
 	BudgetExhausted bool
 }
 
@@ -257,14 +263,15 @@ func validateDispatch(q Query) error {
 	return nil
 }
 
-// approxActive reports whether any approximation knob is set. When none is,
-// evaluation takes the exact code path untouched — the ε=0 contract.
+// approxActive reports whether any approximation knob is set. Only then is
+// the query's work metered.
 func (q Query) approxActive() bool {
 	return q.Epsilon > 0 || q.Budget > 0 || q.TopR > 0
 }
 
-// evaluate dispatches a query to its mode's algorithm. It is the one funnel
-// under Graph.Search, Snapshot.Search and both batch paths.
+// evaluate is the one funnel under Graph.Search, Snapshot.Search and both
+// batch paths: validate, resolve, attach a work meter when an approximation
+// knob asks for one, run the mode's evaluator, render.
 func (v view) evaluate(ctx context.Context, q Query) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -272,256 +279,103 @@ func (v view) evaluate(ctx context.Context, q Query) (Result, error) {
 	if err := validateDispatch(q); err != nil {
 		return Result{}, err
 	}
-	if q.approxActive() {
-		return v.evaluateApprox(ctx, q)
-	}
-	res, err := v.dispatch(ctx, q)
-	if err != nil {
-		return Result{}, err
-	}
-	res.ScoreLowerBound, res.ScoreUpperBound = res.LabelSize, res.LabelSize
-	res.Exact = true
-	return res, nil
-}
-
-// dispatch routes a query to its mode's exact evaluator.
-func (v view) dispatch(ctx context.Context, q Query) (Result, error) {
-	switch q.Mode {
-	case "", ModeCore:
-		return v.search(ctx, q)
-	case ModeFixed:
-		return v.searchFixed(ctx, q)
-	case ModeThreshold:
-		return v.searchThreshold(ctx, q, q.Theta)
-	case ModeClique:
-		return v.searchClique(ctx, q)
-	case ModeSimilar:
-		return v.searchSimilar(ctx, q, q.Tau)
-	default: // ModeTruss; validateDispatch rejected everything else
-		return v.searchTruss(ctx, q)
-	}
-}
-
-// evaluateApprox is the approximate counterpart of dispatch: it attaches the
-// query's work budget to the context as a cancel.Meter (so every evaluator
-// inherits the cap through its existing checkpoints) and routes ε/top-r to
-// the dedicated approximate drivers of the multi-candidate modes. Modes
-// without a dedicated driver run their exact evaluator under the meter —
-// which satisfies any ε trivially — and convert budget exhaustion into a
-// partial result with sound bounds instead of an error.
-func (v view) evaluateApprox(ctx context.Context, q Query) (Result, error) {
-	meter := cancel.NewMeter(q.Budget)
-	ctx = cancel.WithMeter(ctx, meter)
-	ap := core.Approx{Epsilon: q.Epsilon, TopR: q.TopR}
-	if q.Epsilon > 0 || q.TopR > 0 {
-		switch q.Mode {
-		case "", ModeCore:
-			if q.Algorithm != AlgoBasicG && q.Algorithm != AlgoBasicW {
-				return v.approxMulti(ctx, q, func(qv graph.VertexID, s []graph.KeywordID) (core.Result, core.Bounds, error) {
-					opt := core.DefaultOptions()
-					opt.UseInvertedLists = !q.DisableInvertedLists
-					return core.DecApprox(ctx, v.tree, qv, q.K, s, opt, ap)
-				})
-			}
-		case ModeClique:
-			return v.approxMulti(ctx, q, func(qv graph.VertexID, s []graph.KeywordID) (core.Result, core.Bounds, error) {
-				return core.CliqueApprox(ctx, v.tree, qv, q.K, s, ap)
-			})
-		case ModeTruss:
-			return v.approxMulti(ctx, q, func(qv graph.VertexID, s []graph.KeywordID) (core.Result, core.Bounds, error) {
-				return core.TrussApprox(ctx, v.tree, qv, q.K, q.MaxHops, s, ap)
-			})
-		}
-	}
-	res, err := v.dispatch(ctx, q)
-	if err != nil {
-		if errors.Is(err, cancel.ErrBudget) {
-			return v.exhaustedResult(q, meter), nil
-		}
-		return Result{}, err
-	}
-	res.ScoreLowerBound, res.ScoreUpperBound = res.LabelSize, res.LabelSize
-	res.Exact = true
-	res.Work = meter.Spent()
-	return res, nil
-}
-
-// approxMulti resolves the query and runs one of the approximate
-// multi-candidate drivers, rendering its result and achieved bounds.
-func (v view) approxMulti(ctx context.Context, q Query, run func(qv graph.VertexID, s []graph.KeywordID) (core.Result, core.Bounds, error)) (Result, error) {
 	qv, s, err := v.resolve(q)
 	if err != nil {
 		return Result{}, err
 	}
-	if v.tree == nil {
-		return Result{}, ErrNoIndex
+	var meter *cancel.Meter
+	if q.approxActive() {
+		meter = cancel.NewMeter(q.Budget)
+		ctx = cancel.WithMeter(ctx, meter)
 	}
-	res, b, err := run(qv, s)
+	res, b, err := v.run(ctx, q, qv, s)
+	if errors.Is(err, cancel.ErrBudget) {
+		// An exact evaluator cut short establishes no community.
+		res, b, err = core.Result{}, v.exhaustedBounds(q, qv, s), nil
+	}
 	if err != nil {
 		return Result{}, err
 	}
 	out := v.render(res)
-	out.ScoreLowerBound = b.Lower
-	out.ScoreUpperBound = b.Upper
+	out.ScoreLowerBound, out.ScoreUpperBound = b.Lower, b.Upper
 	out.Exact = b.Exact
-	out.Work = b.Work
+	out.Work = meter.Spent()
 	out.BudgetExhausted = b.BudgetExhausted
 	return out, nil
 }
 
-// exhaustedResult is the partial result of an exact evaluator cut short by
-// its work budget: no communities were established, so the score bounds are
-// the trivial sound bracket [0, max achievable for the mode].
-func (v view) exhaustedResult(q Query, meter *cancel.Meter) Result {
-	upper := 0
-	if qv, s, err := v.resolve(q); err == nil {
-		switch q.Mode {
-		case ModeFixed, ModeThreshold:
-			// The label is S as given when a community exists.
-			upper = len(s)
-		default:
-			// The label can only contain keywords q itself carries.
-			if s == nil {
-				upper = len(v.g.Keywords(qv))
-			} else {
-				upper = v.g.CountSharedKeywords(qv, s)
-			}
-		}
-	}
-	return Result{
-		ScoreUpperBound: upper,
-		Work:            meter.Spent(),
-		BudgetExhausted: true,
-	}
-}
-
-func (v view) search(ctx context.Context, q Query) (Result, error) {
-	qv, s, err := v.resolve(q)
-	if err != nil {
-		return Result{}, err
-	}
+// run evaluates a resolved query with its mode × algorithm evaluator. The
+// core (decremental), clique and truss walkers take the query's core.Approx —
+// the zero value is exact search — and report the bounds they achieved; every
+// other evaluator is exact. Index-free pairs run without a tree; every other
+// pair needs one.
+func (v view) run(ctx context.Context, q Query, qv graph.VertexID, s []graph.KeywordID) (core.Result, core.Bounds, error) {
 	opt := core.DefaultOptions()
 	opt.UseInvertedLists = !q.DisableInvertedLists
-
-	var res core.Result
-	switch q.Algorithm {
-	case AlgoBasicG:
-		res, err = core.BasicG(ctx, v.g, qv, q.K, s, opt)
-	case AlgoBasicW:
-		res, err = core.BasicW(ctx, v.g, qv, q.K, s, opt)
-	default: // AlgoDec, AlgoIncS, AlgoIncT, "" — validateDispatch rejected the rest
-		if v.tree == nil {
-			return Result{}, ErrNoIndex
-		}
-		switch q.Algorithm {
-		case AlgoIncS:
-			res, err = core.IncS(ctx, v.tree, qv, q.K, s, opt)
-		case AlgoIncT:
-			res, err = core.IncT(ctx, v.tree, qv, q.K, s, opt)
-		default:
-			res, err = core.Dec(ctx, v.tree, qv, q.K, s, opt)
-		}
+	ap := core.Approx{Epsilon: q.Epsilon, TopR: q.TopR}
+	mode := q.Mode
+	if mode == "" {
+		mode = ModeCore
 	}
-	if err != nil {
-		return Result{}, err
+	switch algo := q.Algorithm; {
+	case mode == ModeCore && algo == AlgoBasicG:
+		return exact(core.BasicG(ctx, v.g, qv, q.K, s, opt))
+	case mode == ModeCore && algo == AlgoBasicW:
+		return exact(core.BasicW(ctx, v.g, qv, q.K, s, opt))
+	case mode == ModeFixed && algo == AlgoBasicG:
+		return exact(core.BasicGV1(ctx, v.g, qv, q.K, s))
+	case mode == ModeFixed && algo == AlgoBasicW:
+		return exact(core.BasicWV1(ctx, v.g, qv, q.K, s))
+	case mode == ModeThreshold && algo == AlgoBasicG:
+		return exact(core.BasicGV2(ctx, v.g, qv, q.K, s, q.Theta))
+	case mode == ModeThreshold && algo == AlgoBasicW:
+		return exact(core.BasicWV2(ctx, v.g, qv, q.K, s, q.Theta))
+	case mode == ModeSimilar && algo == AlgoBasicG:
+		return exact(core.BasicGJ(ctx, v.g, qv, q.K, s, q.Tau))
+	case v.tree == nil:
+		return core.Result{}, core.Bounds{}, ErrNoIndex
+	// Every pair below reads the index.
+	case mode == ModeCore && ap == (core.Approx{}) && algo == AlgoIncS:
+		return exact(core.IncS(ctx, v.tree, qv, q.K, s, opt))
+	case mode == ModeCore && ap == (core.Approx{}) && algo == AlgoIncT:
+		return exact(core.IncT(ctx, v.tree, qv, q.K, s, opt))
+	case mode == ModeCore:
+		// An approximate query follows the decremental walk whatever its
+		// Algorithm: the incremental ablations are exact-only.
+		return core.DecApprox(ctx, v.tree, qv, q.K, s, opt, ap)
+	case mode == ModeFixed:
+		return exact(core.SW(ctx, v.tree, qv, q.K, s))
+	case mode == ModeThreshold:
+		return exact(core.SWT(ctx, v.tree, qv, q.K, s, q.Theta))
+	case mode == ModeSimilar:
+		return exact(core.SJ(ctx, v.tree, qv, q.K, s, q.Tau))
+	case mode == ModeClique:
+		return core.CliqueApprox(ctx, v.tree, qv, q.K, s, ap)
+	default: // ModeTruss; validateDispatch rejected everything else
+		return core.TrussApprox(ctx, v.tree, qv, q.K, q.MaxHops, s, ap)
 	}
-	return v.render(res), nil
 }
 
-func (v view) searchFixed(ctx context.Context, q Query) (Result, error) {
-	qv, s, err := v.resolve(q)
-	if err != nil {
-		return Result{}, err
-	}
-	var res core.Result
-	switch q.Algorithm {
-	case AlgoBasicG:
-		res, err = core.BasicGV1(ctx, v.g, qv, q.K, s)
-	case AlgoBasicW:
-		res, err = core.BasicWV1(ctx, v.g, qv, q.K, s)
+// exact pairs an exact evaluator's outcome with its tight bounds.
+func exact(res core.Result, err error) (core.Result, core.Bounds, error) {
+	return res, core.Bounds{Lower: res.LabelSize, Upper: res.LabelSize, Exact: true}, err
+}
+
+// exhaustedBounds is the trivial sound bracket [0, max achievable for the
+// mode] of an exact evaluator cut short by its work budget.
+func (v view) exhaustedBounds(q Query, qv graph.VertexID, s []graph.KeywordID) core.Bounds {
+	b := core.Bounds{BudgetExhausted: true}
+	switch {
+	case q.Mode == ModeFixed || q.Mode == ModeThreshold:
+		// The label is S as given when a community exists.
+		b.Upper = len(s)
+	case s == nil:
+		// The label can only contain keywords q itself carries.
+		b.Upper = len(v.g.Keywords(qv))
 	default:
-		if v.tree == nil {
-			return Result{}, ErrNoIndex
-		}
-		res, err = core.SW(ctx, v.tree, qv, q.K, s)
+		b.Upper = v.g.CountSharedKeywords(qv, s)
 	}
-	if err != nil {
-		return Result{}, err
-	}
-	return v.render(res), nil
-}
-
-func (v view) searchThreshold(ctx context.Context, q Query, theta float64) (Result, error) {
-	qv, s, err := v.resolve(q)
-	if err != nil {
-		return Result{}, err
-	}
-	var res core.Result
-	switch q.Algorithm {
-	case AlgoBasicG:
-		res, err = core.BasicGV2(ctx, v.g, qv, q.K, s, theta)
-	case AlgoBasicW:
-		res, err = core.BasicWV2(ctx, v.g, qv, q.K, s, theta)
-	default:
-		if v.tree == nil {
-			return Result{}, ErrNoIndex
-		}
-		res, err = core.SWT(ctx, v.tree, qv, q.K, s, theta)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return v.render(res), nil
-}
-
-func (v view) searchClique(ctx context.Context, q Query) (Result, error) {
-	qv, s, err := v.resolve(q)
-	if err != nil {
-		return Result{}, err
-	}
-	if v.tree == nil {
-		return Result{}, ErrNoIndex
-	}
-	res, err := core.CliqueSearch(ctx, v.tree, qv, q.K, s)
-	if err != nil {
-		return Result{}, err
-	}
-	return v.render(res), nil
-}
-
-func (v view) searchSimilar(ctx context.Context, q Query, tau float64) (Result, error) {
-	qv, s, err := v.resolve(q)
-	if err != nil {
-		return Result{}, err
-	}
-	var res core.Result
-	if q.Algorithm == AlgoBasicG {
-		res, err = core.BasicGJ(ctx, v.g, qv, q.K, s, tau)
-	} else {
-		if v.tree == nil {
-			return Result{}, ErrNoIndex
-		}
-		res, err = core.SJ(ctx, v.tree, qv, q.K, s, tau)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	return v.render(res), nil
-}
-
-func (v view) searchTruss(ctx context.Context, q Query) (Result, error) {
-	qv, s, err := v.resolve(q)
-	if err != nil {
-		return Result{}, err
-	}
-	if v.tree == nil {
-		return Result{}, ErrNoIndex
-	}
-	res, err := core.TrussSearchD(ctx, v.tree, qv, q.K, q.MaxHops, s)
-	if err != nil {
-		return Result{}, err
-	}
-	return v.render(res), nil
+	return b
 }
 
 // canceledErr wraps an already-canceled context into the public sentinel
