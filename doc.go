@@ -99,6 +99,21 @@
 //     values already did; every worker count builds the identical tree.
 //     Drop the calls and flags.
 //
+// # Replication tails are WAL frames
+//
+// Graph.ReplicationTail now returns (frames []byte, reset bool, err error):
+// a WAL header and the leader's CRC-framed records after the requested
+// version, byte for byte, instead of a ReplicationTailResult. A version
+// inside a logged batch answers reset. Graph.ApplyReplicated takes that body
+// whole and returns the ops it applied, instead of one ReplicationBatch per
+// call; it checks every frame before applying any. The ReplicationBatch and
+// ReplicationTailResult types are gone. Pass the tail body straight through:
+//
+//	res, _ := leader.ReplicationTail(v, 0)                // before
+//	for _, b := range res.Batches { follower.ApplyReplicated(b) }
+//	frames, reset, _ := leader.ReplicationTail(v, 0)      // after
+//	if !reset { follower.ApplyReplicated(frames) }
+//
 // # Durability
 //
 // EnableDurability(DurableOptions{Dir: ...}) makes a graph crash-safe:

@@ -388,22 +388,11 @@ func OpenDurable(o DurableOptions) (*Graph, error) {
 	// refusing to serve beats silently serving a hole.
 	applied := 0
 	replay := func(rec wal.Record) error {
-		cur := G.version.Load()
-		post := rec.PreVersion + uint64(len(rec.Ops))
-		if post <= snapV {
+		if rec.PreVersion+uint64(len(rec.Ops)) <= snapV {
 			return nil // fully contained in the snapshot
 		}
-		if rec.PreVersion != cur {
-			return fmt.Errorf("acq: WAL gap in %s: record at version %d, graph at %d", o.Dir, rec.PreVersion, cur)
-		}
-		results := G.ApplyMutations(mutationsOfWalOps(rec.Ops))
-		for i, res := range results {
-			if res.Err != nil || !res.Changed {
-				return fmt.Errorf("acq: WAL replay diverged in %s: op %d of batch at version %d not effective (%v)", o.Dir, i, rec.PreVersion, res.Err)
-			}
-		}
-		if got := G.version.Load(); got != post {
-			return fmt.Errorf("acq: WAL replay diverged in %s: version %d after batch, want %d", o.Dir, got, post)
+		if err := G.applyRecord(rec); err != nil {
+			return fmt.Errorf("acq: WAL replay in %s: %w", o.Dir, err)
 		}
 		applied++
 		return nil
@@ -719,6 +708,28 @@ func writeSnapshotFile(path string, fz *graph.Frozen, ft *dataio.FlatTree, v uin
 		return err
 	}
 	return f.Close()
+}
+
+// applyRecord applies one logged batch — a WAL record replayed by recovery or
+// a frame a follower received — and enforces the invariants both rely on:
+// the graph stands exactly at the record's pre-version (anything else is a
+// gap in the history), and every op is effective (it changed the graph that
+// logged it, so a no-op here means the two states differ). On a durable
+// graph ApplyMutations logs the same ops at the same pre-version, so the
+// record's frame is written again byte for byte.
+func (G *Graph) applyRecord(rec wal.Record) error {
+	if cur := G.version.Load(); rec.PreVersion != cur {
+		return fmt.Errorf("record at version %d, graph at %d", rec.PreVersion, cur)
+	}
+	for i, res := range G.ApplyMutations(mutationsOfWalOps(rec.Ops)) {
+		if res.Err != nil || !res.Changed {
+			return fmt.Errorf("op %d of the record at version %d not effective (%v)", i, rec.PreVersion, res.Err)
+		}
+	}
+	if got, want := G.version.Load(), rec.PreVersion+uint64(len(rec.Ops)); got != want {
+		return fmt.Errorf("version %d after the record at version %d, want %d", got, rec.PreVersion, want)
+	}
+	return nil
 }
 
 // --- Mutation ↔ WAL op conversion. The WAL package cannot import acq (acq

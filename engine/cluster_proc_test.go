@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -266,6 +267,16 @@ func TestClusterCrashConvergence(t *testing.T) {
 				t.Fatalf("follower %d diverged on %s:\nleader   (%d): %s\nfollower (%d): %s",
 					i, q, wantCode, wantBody, code, body)
 			}
+		}
+	}
+
+	// Every follower logged the leader's frames byte for byte over the
+	// versions both logs still hold — at least the batches written after the
+	// leader's restart, which neither side has checkpointed away.
+	for i, f := range followers {
+		if n := assertSameFrames(t, filepath.Join(leader.dir, DefaultCollection),
+			filepath.Join(f.dir, DefaultCollection)); n == 0 {
+			t.Fatalf("follower %d: no WAL frames shared with the leader", i)
 		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 
 // The replication plane: the three GET endpoints a follower polls. They ship
 // the durability artefacts unchanged — the snapshot endpoint streams the
-// leader's current mapped snapshot.acqm bytes and the tail endpoint serves
-// the effective-mutation batches the WAL holds after a given version — so a
-// follower's on-disk state is byte-compatible with a leader restart's.
+// leader's current mapped snapshot.acqm bytes and the tail endpoint copies
+// the WAL frames after a given version byte for byte — so a follower's
+// on-disk state is byte-compatible with a leader restart's.
 // Only durable, ready collections are replicable: a non-durable collection
 // has no artefacts to ship (the snapshot/tail endpoints answer the existing
 // 409 not_durable for them).
@@ -65,9 +65,10 @@ func (e *Engine) serveReplicationSnapshot(w http.ResponseWriter, r *http.Request
 	}
 }
 
-// serveReplicationTail serves GET .../{name}/tail?from=N[&max_ops=M]: the
-// effective-mutation batches after version N, or reset=true when no
-// contiguous tail from N survives (checkpointed away, or N is from a
+// serveReplicationTail serves GET .../{name}/tail?from=N[&max_ops=M]: an
+// octet-stream of a WAL header and the leader's frames after version N, with
+// the leader's version in X-Acq-Leader-Version, or X-Acq-Tail-Reset: true
+// when no contiguous tail from N survives (checkpointed away, or N is from a
 // different history).
 func (e *Engine) serveReplicationTail(w http.ResponseWriter, r *http.Request, c *Collection, g *acq.Graph) {
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
@@ -84,12 +85,19 @@ func (e *Engine) serveReplicationTail(w http.ResponseWriter, r *http.Request, c 
 		}
 		maxOps = m
 	}
-	res, err := g.ReplicationTail(from, maxOps)
+	frames, reset, err := g.ReplicationTail(from, maxOps)
 	if err != nil {
 		writeV1Error(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, replica.TailOfResult(res, from, g.Version()))
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(frames)))
+	h.Set(replica.LeaderVersionHeader, strconv.FormatUint(g.Version(), 10))
+	if reset {
+		h.Set(replica.ResetHeader, "true")
+	}
+	w.Write(frames)
 }
 
 // rejectFollowerWrite answers write requests on a read replica with the

@@ -1,14 +1,20 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/acq-search/acq/internal/replica"
+	"github.com/acq-search/acq/internal/wal"
 )
 
 // sixModeQueries covers every Query.Mode once — the replication contract is
@@ -79,6 +85,51 @@ func assertIdenticalReads(t *testing.T, leader, follower http.Handler) {
 	}
 }
 
+// walFrames reads the WAL frames a collection directory holds — rotated logs
+// in rotation order, then the live log — keyed by pre-version.
+func walFrames(t *testing.T, dir string) map[uint64][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "wal.prev-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make(map[uint64][]byte)
+	for _, p := range append(paths, filepath.Join(dir, "wal.log")) {
+		f, err := os.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = wal.ReadFrames(f, func(rec wal.Record, frame []byte) error {
+			frames[rec.PreVersion] = bytes.Clone(frame)
+			return nil
+		})
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+	}
+	return frames
+}
+
+// assertSameFrames asserts that the frames both directories' logs hold for
+// the same pre-version are byte-equal, and returns how many there were.
+func assertSameFrames(t *testing.T, leaderDir, followerDir string) int {
+	t.Helper()
+	lf, ff := walFrames(t, leaderDir), walFrames(t, followerDir)
+	shared := 0
+	for pre, want := range lf {
+		got, ok := ff[pre]
+		if !ok {
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("frame at version %d differs:\nleader   %x\nfollower %x", pre, want, got)
+		}
+		shared++
+	}
+	return shared
+}
+
 // TestReplicationFollowerServesIdenticalReads is the core replication
 // contract: a follower bootstraps from the leader's snapshot, catches up via
 // the WAL tail, and serves byte-identical results for every Query.Mode —
@@ -103,6 +154,12 @@ func TestReplicationFollowerServesIdenticalReads(t *testing.T) {
 	}
 	waitCaughtUp(t, f, DefaultCollection, leader.Graph().Version())
 	assertIdenticalReads(t, lh, fh)
+
+	// The follower logged the leader's frame byte for byte.
+	if n := assertSameFrames(t, filepath.Join(leader.cfg.DataDir, DefaultCollection),
+		filepath.Join(f.cfg.DataDir, DefaultCollection)); n != 1 {
+		t.Fatalf("%d frames shared by the leader and follower logs, want 1", n)
+	}
 
 	// The follower's replication status is observable.
 	c, _ := f.Collection(DefaultCollection)
@@ -255,9 +312,9 @@ func TestReplicationEndpointsNonDurable(t *testing.T) {
 	}
 }
 
-// TestReplicationTailEndpoint exercises the tail wire format directly:
-// contiguous batches from a mid-history version, empty tail at the head, and
-// reset for an unknown future version.
+// TestReplicationTailEndpoint exercises the tail wire format directly: the
+// body is the leader's WAL bytes — a header and the frames after from — with
+// the leader version and the reset flag in headers.
 func TestReplicationTailEndpoint(t *testing.T) {
 	leader, _ := newLeader(t)
 	lh := leader.Handler()
@@ -267,52 +324,62 @@ func TestReplicationTailEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("mutations: %d: %s", rec.Code, rec.Body)
 	}
+	head := leader.Graph().Version()
 
-	var tail struct {
-		LeaderVersion uint64 `json:"leader_version"`
-		From          uint64 `json:"from"`
-		Batches       []struct {
-			PreVersion uint64 `json:"pre_version"`
-			Ops        []struct {
-				Op string `json:"op"`
-			} `json:"ops"`
-		} `json:"batches"`
-		Reset bool `json:"reset"`
+	type tail struct {
+		body          []byte
+		leaderVersion uint64
+		reset         bool
+		records       []wal.Record
 	}
-	get := func(from uint64) {
+	get := func(from uint64) tail {
 		t.Helper()
 		rec := do(t, lh, "GET", fmt.Sprintf("/v1/replication/collections/default/tail?from=%d", from), "")
 		if rec.Code != http.StatusOK {
 			t.Fatalf("tail from %d: %d: %s", from, rec.Code, rec.Body)
 		}
-		tail = struct {
-			LeaderVersion uint64 `json:"leader_version"`
-			From          uint64 `json:"from"`
-			Batches       []struct {
-				PreVersion uint64 `json:"pre_version"`
-				Ops        []struct {
-					Op string `json:"op"`
-				} `json:"ops"`
-			} `json:"batches"`
-			Reset bool `json:"reset"`
-		}{}
-		if err := json.Unmarshal(rec.Body.Bytes(), &tail); err != nil {
-			t.Fatal(err)
+		if ct := rec.Header().Get("Content-Type"); ct != "application/octet-stream" {
+			t.Fatalf("tail from %d: Content-Type %q", from, ct)
 		}
+		lv, err := strconv.ParseUint(rec.Header().Get(replica.LeaderVersionHeader), 10, 64)
+		if err != nil {
+			t.Fatalf("tail from %d: %s: %v", from, replica.LeaderVersionHeader, err)
+		}
+		tl := tail{body: rec.Body.Bytes(), leaderVersion: lv, reset: rec.Header().Get(replica.ResetHeader) == "true"}
+		if tl.reset {
+			return tl
+		}
+		end, _, err := wal.ReadFrames(bytes.NewReader(tl.body), func(r wal.Record, _ []byte) error {
+			tl.records = append(tl.records, r)
+			return nil
+		})
+		if err != nil || end != int64(len(tl.body)) {
+			t.Fatalf("tail from %d: frames end at %d of %d bytes: %v", from, end, len(tl.body), err)
+		}
+		return tl
 	}
 
-	get(v0)
-	if tail.Reset || len(tail.Batches) != 1 || tail.Batches[0].PreVersion != v0 || len(tail.Batches[0].Ops) != 2 {
-		t.Fatalf("tail from %d = %+v", v0, tail)
+	// Mid-history: one frame, two ops, and on the wire exactly the leader's
+	// log — its header and its one frame.
+	tl := get(v0)
+	if tl.reset || tl.leaderVersion != head || len(tl.records) != 1 ||
+		tl.records[0].PreVersion != v0 || len(tl.records[0].Ops) != 2 {
+		t.Fatalf("tail from %d: reset %v, leader %d, records %+v", v0, tl.reset, tl.leaderVersion, tl.records)
 	}
-	head := leader.Graph().Version()
-	get(head)
-	if tail.Reset || len(tail.Batches) != 0 || tail.LeaderVersion != head {
-		t.Fatalf("tail at head = %+v", tail)
+	log, err := os.ReadFile(filepath.Join(leader.cfg.DataDir, DefaultCollection, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	get(head + 100)
-	if !tail.Reset {
-		t.Fatalf("future version should reset: %+v", tail)
+	if !bytes.Equal(tl.body, log) {
+		t.Fatalf("tail body (%d bytes) is not the leader's log (%d bytes)", len(tl.body), len(log))
+	}
+
+	tl = get(head)
+	if tl.reset || len(tl.records) != 0 || tl.leaderVersion != head {
+		t.Fatalf("tail at head: reset %v, leader %d, records %+v", tl.reset, tl.leaderVersion, tl.records)
+	}
+	if tl = get(head + 100); !tl.reset {
+		t.Fatalf("future version should reset: %+v", tl)
 	}
 	if rec := do(t, lh, "GET", "/v1/replication/collections/default/tail?from=oops", ""); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad from: %d", rec.Code)

@@ -362,13 +362,12 @@ func blockingCall(fn *types.Func) string {
 		}
 	}
 	if strings.HasSuffix(pkg.Path(), "internal/replica") {
-		// The getters, constructors and wire-format converters are pure
-		// in-memory code; every other exported entry point (Client methods,
-		// Syncer methods) talks to the leader over the network — a follower
-		// must never do that under its graph's writer lock.
+		// The getters and constructors are pure in-memory code; every other
+		// exported entry point (Client methods, Syncer methods) talks to the
+		// leader over the network — a follower must never do that under its
+		// graph's writer lock.
 		switch fn.Name() {
-		case "BaseURL", "SnapshotPath", "NewClient",
-			"OpsOfMutations", "MutationsOfOps", "BatchesOfTail", "TailOfResult":
+		case "BaseURL", "SnapshotPath", "NewClient":
 			return ""
 		}
 		return "replication network I/O"

@@ -1,22 +1,10 @@
 // Package replica is the fixture stand-in for the repository's
 // internal/replica: the lockio analyzer treats every exported function of an
 // "internal/replica" package as leader-polling network I/O, except the
-// in-memory getters, constructors and wire-format converters (BaseURL,
-// SnapshotPath, NewClient, OpsOfMutations, MutationsOfOps, BatchesOfTail,
-// TailOfResult).
+// in-memory getters and constructors (BaseURL, SnapshotPath, NewClient).
 package replica
 
 import "context"
-
-// Op is one replicated mutation on the wire.
-type Op struct {
-	Op string
-}
-
-// TailResponse is a leader's tail answer.
-type TailResponse struct {
-	LeaderVersion uint64
-}
 
 // Client polls a leader's replication endpoints.
 type Client struct {
@@ -29,9 +17,9 @@ func NewClient(base string) *Client { return &Client{base: base} }
 // BaseURL reports the leader URL (in-memory getter).
 func (c *Client) BaseURL() string { return c.base }
 
-// Tail fetches the WAL tail from the leader (network I/O).
-func (c *Client) Tail(ctx context.Context, name string, from uint64) (*TailResponse, error) {
-	return &TailResponse{}, nil
+// Tail fetches the leader's WAL frames after a version (network I/O).
+func (c *Client) Tail(ctx context.Context, name string, from uint64) ([]byte, uint64, bool, error) {
+	return nil, from, false, nil
 }
 
 // FetchSnapshot downloads the leader's snapshot blob (network + file I/O).
@@ -44,11 +32,8 @@ type Syncer struct {
 	Client *Client
 }
 
-// Sync applies one round of tail batches (network I/O).
+// Sync applies one round of tail frames (network I/O).
 func (s *Syncer) Sync(ctx context.Context) (int, error) { return 0, nil }
-
-// OpsOfMutations converts to the wire form (pure).
-func OpsOfMutations(n int) []Op { return make([]Op, n) }
 
 // SnapshotPath returns where a bootstrap would place the blob (pure).
 func SnapshotPath(dir string) string { return dir + "/snapshot.acqm" }

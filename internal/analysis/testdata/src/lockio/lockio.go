@@ -127,14 +127,13 @@ func (f *follower) syncUnderDeferredLock(ctx context.Context) (int, error) {
 	return f.syncer.Sync(ctx) // want "replication network I/O"
 }
 
-// replicaPureUnderLock: the getters and wire converters are in-memory and
-// stay clean under a held lock.
-func (f *follower) replicaPureUnderLock() (string, int) {
+// replicaPureUnderLock: the getters and constructors are in-memory and stay
+// clean under a held lock.
+func (f *follower) replicaPureUnderLock() (string, string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	_ = replica.NewClient("http://leader:8475")
-	_ = replica.SnapshotPath("/var/lib/acqd/default")
-	return f.client.BaseURL(), len(replica.OpsOfMutations(3))
+	return f.client.BaseURL(), replica.SnapshotPath("/var/lib/acqd/default")
 }
 
 // tailAfterUnlock: the compliant shape — snapshot state under the lock,

@@ -112,23 +112,31 @@ func (c *Client) FetchSnapshot(ctx context.Context, name, dstPath string) (uint6
 	return version, nil
 }
 
-// Tail fetches the effective-mutation batches after version from for the
-// named collection. maxOps <= 0 leaves the cap to the leader.
-func (c *Client) Tail(ctx context.Context, name string, from uint64, maxOps int) (*TailResponse, error) {
+// Tail fetches the named collection's tail after version from: the body
+// (a WAL header and the leader's frames, for acq.Graph.ApplyReplicated), the
+// leader's version at serve time, and whether the leader demanded a reset.
+// maxOps <= 0 leaves the cap to the leader.
+func (c *Client) Tail(ctx context.Context, name string, from uint64, maxOps int) (frames []byte, leaderVersion uint64, reset bool, err error) {
 	path := fmt.Sprintf("/v1/replication/collections/%s/tail?from=%d", url.PathEscape(name), from)
 	if maxOps > 0 {
 		path += fmt.Sprintf("&max_ops=%d", maxOps)
 	}
 	resp, err := c.get(ctx, path)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	defer resp.Body.Close()
-	var t TailResponse
-	if err := json.NewDecoder(resp.Body).Decode(&t); err != nil {
-		return nil, fmt.Errorf("replica: decoding tail response: %w", err)
+	leaderVersion, err = strconv.ParseUint(resp.Header.Get(LeaderVersionHeader), 10, 64)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("replica: tail response missing %s: %w", LeaderVersionHeader, err)
 	}
-	return &t, nil
+	if resp.Header.Get(ResetHeader) == "true" {
+		return nil, leaderVersion, true, nil
+	}
+	if frames, err = io.ReadAll(resp.Body); err != nil {
+		return nil, leaderVersion, false, fmt.Errorf("replica: reading tail of %s: %w", name, err)
+	}
+	return frames, leaderVersion, false, nil
 }
 
 // snapshotName is the file the downloaded blob lands under inside a

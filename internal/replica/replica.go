@@ -1,30 +1,26 @@
 // Package replica is the cluster tier's snapshot-shipping replication
-// protocol: the wire types served by a leader's /v1/replication/* endpoints,
-// the HTTP client a follower polls them with, and the Syncer that drives one
+// protocol: the listing type and response headers of a leader's
+// /v1/replication/* endpoints, the HTTP client a follower polls them with, and the Syncer that drives one
 // collection's bootstrap-then-catch-up state machine.
 //
 // The protocol ships the durability artefacts unchanged. A follower
 // bootstraps by downloading the leader's current mapped snapshot (the same
 // snapshot.acqm bytes a local restart would mmap) into its own durability
 // directory and opening it with acq.OpenDurable; from then on it polls the
-// leader's WAL tail — the effective-mutation batches after its own version —
-// and applies each batch through acq.Graph.ApplyReplicated, which WAL-logs
-// it locally in turn. A follower restart therefore recovers from local disk
-// and only fetches the records it missed; only divergence (or a leader that
-// checkpointed the requested tail away) forces a fresh bootstrap, which the
-// leader signals with Reset.
+// leader's WAL tail — the leader's CRC-framed WAL records after its own
+// version, byte for byte, behind a log header — and hands the body to
+// acq.Graph.ApplyReplicated, which checks every frame, applies the records
+// and WAL-logs them locally in turn. The op encoding is the wal package's
+// alone; this package never decodes a frame. A follower restart therefore
+// recovers from local disk and only fetches the records it missed; only
+// divergence (or a leader that checkpointed the requested tail away) forces
+// a fresh bootstrap, which the leader signals with ResetHeader.
 //
 // Every Client and Syncer method that talks to the leader blocks on network
 // I/O; the lockio analyzer (cmd/acqvet) flags calls to them under a held
 // mutex, exactly like WAL appends — a follower must never poll the leader
 // while holding its graph's writer lock.
 package replica
-
-import (
-	"fmt"
-
-	acq "github.com/acq-search/acq"
-)
 
 // CollectionInfo is one collection in the leader's replication listing
 // (GET /v1/replication/collections). Only durable collections are listed:
@@ -41,87 +37,15 @@ type CollectionInfo struct {
 	WALBytes int64 `json:"wal_bytes"`
 }
 
-// Op is one replicated mutation on the wire. Vertices are dense IDs — the
-// vertex set is fixed at build time and shipped in the snapshot's label
-// table, so replication never resolves labels.
-type Op struct {
-	Op      string `json:"op"`
-	U       int32  `json:"u,omitempty"`
-	V       int32  `json:"v,omitempty"`
-	Vertex  int32  `json:"vertex,omitempty"`
-	Keyword string `json:"keyword,omitempty"`
-}
-
-// Batch is one leader mutation batch: the version it applies at and its
-// effective ops in application order (mirrors acq.ReplicationBatch).
-type Batch struct {
-	PreVersion uint64 `json:"pre_version"`
-	Ops        []Op   `json:"ops"`
-}
-
-// TailResponse is the body of GET /v1/replication/collections/{name}/tail.
-type TailResponse struct {
-	// LeaderVersion is the leader graph's version at serve time; the
-	// follower's replication lag is LeaderVersion minus its own version
-	// after applying Batches.
-	LeaderVersion uint64 `json:"leader_version"`
-	// From echoes the requested version; Batches continue exactly there.
-	From    uint64  `json:"from"`
-	Batches []Batch `json:"batches,omitempty"`
-	// Reset reports that no contiguous tail from From exists anymore; the
-	// follower must re-bootstrap from the snapshot endpoint.
-	Reset bool `json:"reset,omitempty"`
-}
-
-// VersionHeader carries the snapshot blob's graph version on the snapshot
-// endpoint's response.
-const VersionHeader = "X-Acq-Snapshot-Version"
-
-// OpsOfMutations converts a batch's effective ops to the wire form.
-func OpsOfMutations(ms []acq.Mutation) []Op {
-	out := make([]Op, len(ms))
-	for i, m := range ms {
-		out[i] = Op{Op: string(m.Op), U: m.U, V: m.V, Vertex: m.Vertex, Keyword: m.Keyword}
-	}
-	return out
-}
-
-// MutationsOfOps converts wire ops back to acq mutations, rejecting unknown
-// op names (a protocol-version skew must fail loudly, not apply garbage).
-func MutationsOfOps(ops []Op) ([]acq.Mutation, error) {
-	out := make([]acq.Mutation, len(ops))
-	for i, op := range ops {
-		switch acq.MutationOp(op.Op) {
-		case acq.OpInsertEdge, acq.OpRemoveEdge, acq.OpAddKeyword, acq.OpRemoveKeyword:
-			out[i] = acq.Mutation{Op: acq.MutationOp(op.Op), U: op.U, V: op.V, Vertex: op.Vertex, Keyword: op.Keyword}
-		default:
-			return nil, fmt.Errorf("replica: unknown replicated op %q", op.Op)
-		}
-	}
-	return out, nil
-}
-
-// BatchesOfTail converts a tail response's batches to the acq form.
-func BatchesOfTail(t *TailResponse) ([]acq.ReplicationBatch, error) {
-	out := make([]acq.ReplicationBatch, len(t.Batches))
-	for i, b := range t.Batches {
-		ms, err := MutationsOfOps(b.Ops)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = acq.ReplicationBatch{PreVersion: b.PreVersion, Ops: ms}
-	}
-	return out, nil
-}
-
-// TailOfResult converts a leader-side acq tail result to the wire form.
-func TailOfResult(res acq.ReplicationTailResult, from, leaderVersion uint64) *TailResponse {
-	t := &TailResponse{LeaderVersion: leaderVersion, From: from, Reset: res.Reset}
-	if len(res.Batches) > 0 {
-		t.Batches = make([]Batch, len(res.Batches))
-		for i, b := range res.Batches {
-			t.Batches[i] = Batch{PreVersion: b.PreVersion, Ops: OpsOfMutations(b.Ops)}
-		}
-	}
-	return t
-}
+// Response headers. The snapshot endpoint stamps the blob's graph version in
+// VersionHeader. The tail endpoint's body is WAL bytes, so its metadata
+// travels in headers: LeaderVersionHeader carries the leader graph's version
+// at serve time (the follower's lag is that minus its own version after
+// applying the body), and ResetHeader, set to "true", reports that no
+// contiguous tail from the requested version exists anymore and the
+// follower must re-bootstrap from the snapshot endpoint.
+const (
+	VersionHeader       = "X-Acq-Snapshot-Version"
+	LeaderVersionHeader = "X-Acq-Leader-Version"
+	ResetHeader         = "X-Acq-Tail-Reset"
+)

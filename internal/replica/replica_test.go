@@ -1,67 +1,30 @@
 package replica
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strconv"
 	"testing"
 
 	acq "github.com/acq-search/acq"
+	"github.com/acq-search/acq/internal/wal"
 )
 
-func TestWireConversionRoundTrip(t *testing.T) {
-	ms := []acq.Mutation{
-		{Op: acq.OpInsertEdge, U: 1, V: 2},
-		{Op: acq.OpRemoveEdge, U: 2, V: 3},
-		{Op: acq.OpAddKeyword, Vertex: 4, Keyword: "research"},
-		{Op: acq.OpRemoveKeyword, Vertex: 4, Keyword: "yoga"},
-	}
-	back, err := MutationsOfOps(OpsOfMutations(ms))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ms, back) {
-		t.Fatalf("round trip lost data:\nin:  %+v\nout: %+v", ms, back)
-	}
-}
-
-func TestMutationsOfOpsRejectsUnknown(t *testing.T) {
-	// Protocol-version skew must fail loudly, not apply garbage.
-	if _, err := MutationsOfOps([]Op{{Op: "truncate_graph"}}); err == nil {
-		t.Fatal("unknown op accepted")
-	}
-}
-
-func TestTailOfResultShape(t *testing.T) {
-	res := acq.ReplicationTailResult{
-		Batches: []acq.ReplicationBatch{
-			{PreVersion: 7, Ops: []acq.Mutation{{Op: acq.OpInsertEdge, U: 1, V: 2}}},
-		},
-	}
-	wire := TailOfResult(res, 7, 9)
-	if wire.LeaderVersion != 9 || wire.From != 7 || wire.Reset ||
-		len(wire.Batches) != 1 || wire.Batches[0].PreVersion != 7 || len(wire.Batches[0].Ops) != 1 {
-		t.Fatalf("wire = %+v", wire)
-	}
-	batches, err := BatchesOfTail(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Batches, batches) {
-		t.Fatalf("tail round trip:\nin:  %+v\nout: %+v", res.Batches, batches)
-	}
-
-	reset := TailOfResult(acq.ReplicationTailResult{Reset: true}, 3, 9)
-	if !reset.Reset || len(reset.Batches) != 0 {
-		t.Fatalf("reset wire = %+v", reset)
-	}
+// fakeTail is the tail a fakeLeader serves: body for ?from=From, with Head
+// in the leader-version header. Any other from answers 400.
+type fakeTail struct {
+	From, Head uint64
+	Body       []byte
 }
 
 // fakeLeader serves a minimal replication surface from canned data.
-func fakeLeader(t *testing.T, blob []byte, version string) *httptest.Server {
+func fakeLeader(t *testing.T, blob []byte, version string, tail fakeTail) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/replication/collections", func(w http.ResponseWriter, r *http.Request) {
@@ -74,11 +37,13 @@ func fakeLeader(t *testing.T, blob []byte, version string) *httptest.Server {
 		w.Write(blob)
 	})
 	mux.HandleFunc("GET /v1/replication/collections/default/tail", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("from") != "12" {
+		if r.URL.Query().Get("from") != strconv.FormatUint(tail.From, 10) {
 			http.Error(w, `{"error":{"code":"bad_request"}}`, http.StatusBadRequest)
 			return
 		}
-		w.Write([]byte(`{"leader_version":12,"from":12,"batches":[]}`))
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set(LeaderVersionHeader, strconv.FormatUint(tail.Head, 10))
+		w.Write(tail.Body)
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -87,7 +52,7 @@ func fakeLeader(t *testing.T, blob []byte, version string) *httptest.Server {
 
 func TestClientAgainstFakeLeader(t *testing.T) {
 	blob := []byte("not a real snapshot, the client ships bytes blindly")
-	srv := fakeLeader(t, blob, "10")
+	srv := fakeLeader(t, blob, "10", fakeTail{From: 12, Head: 12, Body: wal.AppendHeader(nil)})
 	c := NewClient(srv.URL+"/", nil) // trailing slash is normalised away
 	if c.BaseURL() != srv.URL {
 		t.Fatalf("base = %q", c.BaseURL())
@@ -119,21 +84,21 @@ func TestClientAgainstFakeLeader(t *testing.T) {
 		t.Fatal("staging file left behind")
 	}
 
-	tail, err := c.Tail(ctx, "default", 12, 0)
+	frames, leaderV, reset, err := c.Tail(ctx, "default", 12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tail.LeaderVersion != 12 || tail.From != 12 || len(tail.Batches) != 0 || tail.Reset {
-		t.Fatalf("tail = %+v", tail)
+	if leaderV != 12 || reset || !bytes.Equal(frames, wal.AppendHeader(nil)) {
+		t.Fatalf("tail = %q, leader %d, reset %v", frames, leaderV, reset)
 	}
 	// The leader's structured error surfaces in the client error.
-	if _, err := c.Tail(ctx, "default", 3, 0); err == nil {
+	if _, _, _, err := c.Tail(ctx, "default", 3, 0); err == nil {
 		t.Fatal("leader 400 not surfaced")
 	}
 }
 
 func TestFetchSnapshotMissingVersionHeader(t *testing.T) {
-	srv := fakeLeader(t, []byte("blob"), "")
+	srv := fakeLeader(t, []byte("blob"), "", fakeTail{})
 	c := NewClient(srv.URL, nil)
 	dir := t.TempDir()
 	if _, err := c.FetchSnapshot(context.Background(), "default", SnapshotPath(dir)); err == nil {
@@ -152,5 +117,115 @@ func TestFetchSnapshotMissingVersionHeader(t *testing.T) {
 		if filepath.Ext(e.Name()) == ".dl" {
 			t.Fatalf("staging file %s left behind", e.Name())
 		}
+	}
+}
+
+// buildSquare returns a four-vertex graph with keywords, the same each call.
+func buildSquare(t *testing.T) *acq.Graph {
+	t.Helper()
+	b := acq.NewBuilder()
+	for _, l := range []string{"a", "b", "c", "d"} {
+		b.AddVertex(l, "research")
+	}
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 3)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.BuildIndex()
+	return g
+}
+
+// leaderTail applies two batches to a durable leader and returns its tail
+// body over them, the leader's version after them, and a twin follower that
+// stands where the leader stood before them.
+func leaderTail(t *testing.T) (body []byte, head uint64, follower *acq.Graph) {
+	t.Helper()
+	leader := buildSquare(t)
+	if err := leader.EnableDurability(acq.DurableOptions{Dir: t.TempDir(), SyncMode: "never"}); err != nil {
+		t.Fatal(err)
+	}
+	follower = buildSquare(t)
+	from := leader.Version()
+	for _, batch := range [][]acq.Mutation{
+		{{Op: acq.OpInsertEdge, U: 0, V: 3}, {Op: acq.OpAddKeyword, Vertex: 0, Keyword: "yoga"}},
+		{{Op: acq.OpRemoveEdge, U: 1, V: 2}, {Op: acq.OpRemoveKeyword, Vertex: 2, Keyword: "research"}},
+	} {
+		for i, res := range leader.ApplyMutations(batch) {
+			if !res.Changed {
+				t.Fatalf("op %d not effective: %v", i, res.Err)
+			}
+		}
+	}
+	body, reset, err := leader.ReplicationTail(from, 0)
+	if err != nil || reset {
+		t.Fatalf("ReplicationTail: reset=%v err=%v", reset, err)
+	}
+	return body, leader.Version(), follower
+}
+
+// syncFrom runs one Sync of follower against a fake leader serving body.
+func syncFrom(t *testing.T, follower *acq.Graph, head uint64, body []byte) (int, bool, error) {
+	t.Helper()
+	srv := fakeLeader(t, nil, "", fakeTail{From: follower.Version(), Head: head, Body: body})
+	s := &Syncer{Client: NewClient(srv.URL, nil), Collection: "default"}
+	applied, leaderV, reset, err := s.Sync(context.Background(), follower)
+	if leaderV != head {
+		t.Fatalf("Sync reported leader version %d, want %d", leaderV, head)
+	}
+	return applied, reset, err
+}
+
+// TestSyncRejectsDamagedBody: a tail body with one flipped byte inside its
+// second frame, or cut off mid-frame, is transport damage, not divergence —
+// Sync fails without reset, applies nothing (not even the intact first
+// frame), and the next poll starts from the same version. The intact body
+// then applies in full.
+func TestSyncRejectsDamagedBody(t *testing.T) {
+	body, head, follower := leaderTail(t)
+	from := follower.Version()
+	second := 8 + 8 + int(binary.LittleEndian.Uint32(body[8:12]))
+	if second >= len(body) {
+		t.Fatalf("body of %d bytes holds one frame", len(body))
+	}
+	flipped := bytes.Clone(body)
+	flipped[second+8+2] ^= 0xff // inside the second frame's payload
+
+	for name, bad := range map[string][]byte{
+		"flipped byte in frame 2": flipped,
+		"cut mid-frame":           body[:len(body)-3],
+	} {
+		applied, reset, err := syncFrom(t, follower, head, bad)
+		if err == nil || errors.Is(err, acq.ErrReplicaDiverged) || reset {
+			t.Fatalf("%s: Sync err=%v reset=%v, want a plain error without reset", name, err, reset)
+		}
+		if applied != 0 || follower.Version() != from {
+			t.Fatalf("%s: applied %d ops, follower at %d, want 0 ops at %d", name, applied, follower.Version(), from)
+		}
+	}
+
+	applied, reset, err := syncFrom(t, follower, head, body)
+	if err != nil || reset || applied != 4 || follower.Version() != head {
+		t.Fatalf("intact body: applied %d, reset %v, err %v, follower at %d (leader %d)",
+			applied, reset, err, follower.Version(), head)
+	}
+}
+
+// TestSyncRejectsWrongMagic: a body that is not a WAL stream — another
+// format, or a protocol version skew — must fail loudly instead of applying
+// garbage.
+func TestSyncRejectsWrongMagic(t *testing.T) {
+	body, head, follower := leaderTail(t)
+	from := follower.Version()
+	bad := bytes.Clone(body)
+	copy(bad, "NOPE")
+	applied, reset, err := syncFrom(t, follower, head, bad)
+	if !errors.Is(err, wal.ErrBadFormat) || errors.Is(err, acq.ErrReplicaDiverged) || reset {
+		t.Fatalf("Sync err=%v reset=%v, want wal.ErrBadFormat without reset", err, reset)
+	}
+	if applied != 0 || follower.Version() != from {
+		t.Fatalf("applied %d ops, follower at %d, want 0 ops at %d", applied, follower.Version(), from)
 	}
 }

@@ -75,32 +75,18 @@ func (s *Syncer) Bootstrap(ctx context.Context) (*acq.Graph, error) {
 	return g, nil
 }
 
-// Sync runs one catch-up round: poll the tail from g's version and apply
-// every returned batch. It reports the number of ops applied, the leader's
-// version at serve time, and whether the leader demanded a reset (the tail
-// is gone or the histories diverged — the caller should Bootstrap a fresh
-// graph and swap it in). An apply divergence (acq.ErrReplicaDiverged) is
-// reported as reset=true too: the recovery is the same.
+// Sync runs one catch-up round: poll the tail from g's version and hand the
+// leader's frames to g.ApplyReplicated. It reports the number of ops applied,
+// the leader's version at serve time, and whether the leader demanded a reset
+// (the tail is gone or the histories diverged — the caller should Bootstrap
+// a fresh graph and swap it in). An apply divergence (acq.ErrReplicaDiverged)
+// is reported as reset=true too: the recovery is the same. A damaged body is
+// an error without reset; the next round polls again.
 func (s *Syncer) Sync(ctx context.Context, g *acq.Graph) (applied int, leaderVersion uint64, reset bool, err error) {
-	t, err := s.Client.Tail(ctx, s.Collection, g.Version(), 0)
-	if err != nil {
-		return 0, 0, false, err
+	frames, leaderVersion, reset, err := s.Client.Tail(ctx, s.Collection, g.Version(), 0)
+	if err != nil || reset {
+		return 0, leaderVersion, reset, err
 	}
-	if t.Reset {
-		return 0, t.LeaderVersion, true, nil
-	}
-	batches, err := BatchesOfTail(t)
-	if err != nil {
-		return 0, t.LeaderVersion, false, err
-	}
-	for _, b := range batches {
-		if err := g.ApplyReplicated(b); err != nil {
-			if errors.Is(err, acq.ErrReplicaDiverged) {
-				return applied, t.LeaderVersion, true, err
-			}
-			return applied, t.LeaderVersion, false, err
-		}
-		applied += len(b.Ops)
-	}
-	return applied, t.LeaderVersion, false, nil
+	applied, err = g.ApplyReplicated(frames)
+	return applied, leaderVersion, errors.Is(err, acq.ErrReplicaDiverged), err
 }

@@ -1,7 +1,10 @@
 // Package wal implements the per-collection write-ahead log behind durable
 // graphs: every acknowledged mutation batch is appended as one length-prefixed,
 // CRC-checked record before the caller's write returns, and replayed on boot
-// to reconstruct the batches that landed after the last checkpoint.
+// to reconstruct the batches that landed after the last checkpoint. The same
+// frames, byte for byte, are what a leader ships to its followers: a
+// replication tail body is a log header followed by frames, and ReadFrames
+// decodes both.
 //
 // # File format
 //
@@ -33,6 +36,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -136,10 +140,7 @@ func Create(path string, policy SyncPolicy) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, headerSize)
-	copy(hdr, magic[:])
-	hdr[4] = formatVersion
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(AppendHeader(nil)); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -163,7 +164,7 @@ func Open(path string, policy SyncPolicy, fn func(Record) error) (*Log, int, err
 	if err != nil {
 		return nil, 0, err
 	}
-	end, n, err := scan(f, fn)
+	end, n, err := ReadFrames(f, recordsOnly(fn))
 	if err != nil {
 		f.Close()
 		return nil, 0, err
@@ -202,17 +203,37 @@ func Replay(path string, fn func(Record) error) (int, error) {
 		return 0, err
 	}
 	defer f.Close()
-	_, n, err := scan(f, fn)
+	_, n, err := ReadFrames(f, recordsOnly(fn))
 	return n, err
 }
 
-// scan reads the header and every intact record, returning the byte offset
-// just past the last intact record and the record count. Corruption —
-// truncation, a short payload, a CRC mismatch — ends the scan at the last
-// good record, the standard torn-tail rule.
-func scan(f *os.File, fn func(Record) error) (end int64, n int, err error) {
+// recordsOnly adapts a record callback to ReadFrames.
+func recordsOnly(fn func(Record) error) func(Record, []byte) error {
+	if fn == nil {
+		return nil
+	}
+	return func(rec Record, _ []byte) error { return fn(rec) }
+}
+
+// AppendHeader appends the 8-byte log header to b. Every log file and every
+// replication tail body starts with it.
+func AppendHeader(b []byte) []byte {
+	b = append(b, magic[:]...)
+	return append(b, formatVersion, 0, 0, 0)
+}
+
+// ReadFrames reads a log stream — the header, then records — from r and
+// calls fn with each intact record and its exact frame bytes (length
+// prefix, CRC and payload; the slice is reused once fn returns). It returns
+// the offset just past the last intact frame and the frame count. A header
+// that is not a WAL header is an error; damage after it — truncation, a
+// corrupt length, a CRC mismatch, a malformed payload — ends the read at the
+// last intact frame, the standard torn-tail rule. An error from fn aborts
+// the read and is returned. Log files and replication tail bodies share this
+// one decoder.
+func ReadFrames(r io.Reader, fn func(rec Record, frame []byte) error) (end int64, n int, err error) {
 	hdr := make([]byte, headerSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, 0, fmt.Errorf("%w: reading header: %v", ErrBadFormat, err)
 	}
 	if [4]byte(hdr[:4]) != magic {
@@ -222,37 +243,35 @@ func scan(f *os.File, fn func(Record) error) (end int64, n int, err error) {
 		return 0, 0, fmt.Errorf("wal: unsupported format version %d", hdr[4])
 	}
 	end = headerSize
-	var pre [8]byte
-	var payload []byte
+	// The buffer grows only as bytes actually arrive, so a corrupt length
+	// prefix over a short input costs no large allocation.
+	var buf bytes.Buffer
 	for {
-		if _, err := io.ReadFull(f, pre[:]); err != nil {
+		buf.Reset()
+		if _, err := io.CopyN(&buf, r, 8); err != nil {
 			return end, n, nil // clean EOF or torn length prefix
 		}
-		length := binary.LittleEndian.Uint32(pre[:4])
-		sum := binary.LittleEndian.Uint32(pre[4:])
+		length := binary.LittleEndian.Uint32(buf.Bytes()[:4])
 		if length > maxRecordBytes {
 			return end, n, nil // corrupt length: treat as tail damage
 		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
+		if _, err := io.CopyN(&buf, r, int64(length)); err != nil {
 			return end, n, nil // torn payload
 		}
-		if crc32.Checksum(payload, castagnoli) != sum {
+		frame := buf.Bytes()
+		if crc32.Checksum(frame[8:], castagnoli) != binary.LittleEndian.Uint32(frame[4:8]) {
 			return end, n, nil // bit rot or torn write inside the payload
 		}
-		rec, ok := decodeRecord(payload)
+		rec, ok := decodeRecord(frame[8:])
 		if !ok {
 			return end, n, nil
 		}
 		if fn != nil {
-			if err := fn(rec); err != nil {
+			if err := fn(rec, frame); err != nil {
 				return end, n, err
 			}
 		}
-		end += 8 + int64(length)
+		end += int64(len(frame))
 		n++
 	}
 }
@@ -265,6 +284,9 @@ func decodeRecord(p []byte) (Record, bool) {
 	rec := Record{PreVersion: binary.LittleEndian.Uint64(p[:8])}
 	count := binary.LittleEndian.Uint32(p[8:12])
 	p = p[12:]
+	if uint64(count) > uint64(len(p))/7 {
+		return Record{}, false // fewer bytes than count ops need (7 at least)
+	}
 	rec.Ops = make([]Op, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(p) < 1 {
@@ -307,33 +329,10 @@ func decodeRecord(p []byte) (Record, bool) {
 // SyncAlways — fsyncs before returning. The record is durable (to the policy's
 // standard) once Append returns nil.
 func (l *Log) Append(rec Record) error {
-	l.buf = l.buf[:0]
-	l.buf = append(l.buf, 0, 0, 0, 0, 0, 0, 0, 0) // length + crc, patched below
-	l.buf = binary.LittleEndian.AppendUint64(l.buf, rec.PreVersion)
-	l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(len(rec.Ops)))
-	for _, op := range rec.Ops {
-		l.buf = append(l.buf, op.Kind)
-		switch op.Kind {
-		case OpInsertEdge, OpRemoveEdge:
-			l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(op.U))
-			l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(op.V))
-		case OpAddKeyword, OpRemoveKeyword:
-			if len(op.Word) > maxWordBytes {
-				return fmt.Errorf("wal: keyword of %d bytes exceeds the record format's %d-byte limit", len(op.Word), maxWordBytes)
-			}
-			l.buf = binary.LittleEndian.AppendUint32(l.buf, uint32(op.U))
-			l.buf = binary.LittleEndian.AppendUint16(l.buf, uint16(len(op.Word)))
-			l.buf = append(l.buf, op.Word...)
-		default:
-			return fmt.Errorf("wal: unknown op kind %d", op.Kind)
-		}
+	var err error
+	if l.buf, err = appendFrame(l.buf[:0], rec); err != nil {
+		return err
 	}
-	payload := l.buf[8:]
-	if len(payload) > maxRecordBytes {
-		return fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecordBytes)
-	}
-	binary.LittleEndian.PutUint32(l.buf[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(l.buf[4:8], crc32.Checksum(payload, castagnoli))
 	if _, err := l.f.Write(l.buf); err != nil {
 		return err
 	}
@@ -342,6 +341,41 @@ func (l *Log) Append(rec Record) error {
 		return l.f.Sync()
 	}
 	return nil
+}
+
+// appendFrame appends rec's frame — length prefix, CRC and payload — to b.
+// The encoding is canonical: decoding a frame and encoding the record again
+// yields the same bytes.
+func appendFrame(b []byte, rec Record) ([]byte, error) {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // length + crc, patched below
+	b = binary.LittleEndian.AppendUint64(b, rec.PreVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(rec.Ops)))
+	for _, op := range rec.Ops {
+		b = append(b, op.Kind)
+		switch op.Kind {
+		case OpInsertEdge, OpRemoveEdge:
+			b = binary.LittleEndian.AppendUint32(b, uint32(op.U))
+			b = binary.LittleEndian.AppendUint32(b, uint32(op.V))
+		case OpAddKeyword, OpRemoveKeyword:
+			if len(op.Word) > maxWordBytes {
+				return b[:start], fmt.Errorf("wal: keyword of %d bytes exceeds the record format's %d-byte limit", len(op.Word), maxWordBytes)
+			}
+			b = binary.LittleEndian.AppendUint32(b, uint32(op.U))
+			b = binary.LittleEndian.AppendUint16(b, uint16(len(op.Word)))
+			b = append(b, op.Word...)
+		default:
+			return b[:start], fmt.Errorf("wal: unknown op kind %d", op.Kind)
+		}
+	}
+	frame := b[start:]
+	payload := frame[8:]
+	if len(payload) > maxRecordBytes {
+		return b[:start], fmt.Errorf("wal: record of %d bytes exceeds the %d-byte limit", len(payload), maxRecordBytes)
+	}
+	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	return b, nil
 }
 
 // Size returns the log's current size in bytes, header included.

@@ -212,3 +212,37 @@ func TestReplayErrorAborts(t *testing.T) {
 		t.Fatalf("Open returned %v, want the replay callback's error", err)
 	}
 }
+
+// FuzzReadFrames drives the frame decoder that recovery and replication
+// share with arbitrary bytes — a follower runs it on whatever a leader
+// sends. The committed corpus (testdata/fuzz/FuzzReadFrames) seeds a valid
+// two-record stream, a torn last frame, a flipped CRC byte, a keyword length
+// that overruns its frame, a bad magic, and an op count of 2³²−1 in a frame
+// whose CRC holds (a preallocation bomb). The decoder must not panic, must
+// not claim bytes past the input, and every record it accepts must encode
+// back to exactly the frame it came from.
+func FuzzReadFrames(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var frames int64
+		end, n, err := ReadFrames(bytes.NewReader(data), func(rec Record, frame []byte) error {
+			again, err := appendFrame(nil, rec)
+			if err != nil {
+				t.Fatalf("decoded record does not encode: %v", err)
+			}
+			if !bytes.Equal(again, frame) {
+				t.Fatalf("record re-encodes to\n%x\nnot its frame\n%x", again, frame)
+			}
+			frames += int64(len(frame))
+			return nil
+		})
+		if err != nil {
+			if end != 0 || n != 0 {
+				t.Fatalf("header error %v after end %d, %d frames", err, end, n)
+			}
+			return
+		}
+		if end > int64(len(data)) || end != headerSize+frames {
+			t.Fatalf("end %d for %d input bytes and %d frame bytes", end, len(data), frames)
+		}
+	})
+}
