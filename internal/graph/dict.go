@@ -18,9 +18,19 @@ func (d *Dict) Intern(word string) KeywordID {
 		return id
 	}
 	id := KeywordID(len(d.words))
-	d.words = append(d.words, word)
+	d.words = append(grow(d.words, 1), word)
 	d.index[word] = id
 	return id
+}
+
+// InternBytes is Intern for a word held in a reused buffer. The map probe
+// converts the bytes without allocating; only a word seen for the first time
+// is copied into a string.
+func (d *Dict) InternBytes(word []byte) KeywordID {
+	if id, ok := d.index[string(word)]; ok {
+		return id
+	}
+	return d.Intern(string(word))
 }
 
 // Lookup returns the ID for word if it has been interned.
@@ -50,15 +60,6 @@ func (d *Dict) Clone() *Dict {
 		c.index[w] = id
 	}
 	return c
-}
-
-// InternAll interns every word and returns the sorted, deduplicated ID set.
-func (d *Dict) InternAll(words []string) []KeywordID {
-	ids := make([]KeywordID, 0, len(words))
-	for _, w := range words {
-		ids = append(ids, d.Intern(w))
-	}
-	return SortKeywordSet(ids)
 }
 
 // LookupAll resolves every word, silently dropping unknown ones, and returns

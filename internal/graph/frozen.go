@@ -364,19 +364,12 @@ func FromFlat(labels, words []string, kwOff []int32, kw []KeywordID, adjOff []in
 		}
 	}
 	g := &Graph{
-		adj:    make([][]VertexID, n),
-		kw:     make([][]KeywordID, n),
+		adj:    windows(adj, adjOff),
+		kw:     windows(kw, kwOff),
 		dict:   dict,
 		labels: append(labels, make([]string, n-len(labels))...),
 		byName: make(map[string]VertexID, n),
 		m:      len(adj) / 2,
-	}
-	for v := 0; v < n; v++ {
-		// Three-index slicing caps each row at its boundary, so a later
-		// in-place append (InsertEdge, AddKeyword) can never overwrite the
-		// next vertex's row: it reallocates instead.
-		g.adj[v] = adj[adjOff[v]:adjOff[v+1]:adjOff[v+1]]
-		g.kw[v] = kw[kwOff[v]:kwOff[v+1]:kwOff[v+1]]
 	}
 	for v, label := range g.labels {
 		if label == "" {

@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/acq-search/acq/internal/para"
@@ -302,14 +303,8 @@ func removeSortedKeyword(s []KeywordID, w KeywordID) []KeywordID {
 // SortKeywordSet sorts and deduplicates a keyword set in place, returning the
 // (possibly shortened) slice.
 func SortKeywordSet(s []KeywordID) []KeywordID {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:0]
-	for i, w := range s {
-		if i == 0 || s[i-1] != w {
-			out = append(out, w)
-		}
-	}
-	return out
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // IntersectVertices returns the intersection of two sorted vertex slices.

@@ -381,9 +381,14 @@ func TestDict(t *testing.T) {
 	if d.Word(b) != "beta" || d.Size() != 2 {
 		t.Fatal("dict bookkeeping wrong")
 	}
-	ids := d.InternAll([]string{"c", "a", "c", "b"})
-	if len(ids) != 3 {
-		t.Fatalf("InternAll = %v", ids)
+	if d.InternBytes([]byte("beta")) != b {
+		t.Fatal("InternBytes disagrees with Intern")
+	}
+	buf := []byte("gamma")
+	c := d.InternBytes(buf)
+	copy(buf, "delta")
+	if d.Word(c) != "gamma" || d.Size() != 3 {
+		t.Fatal("InternBytes kept a reference to the caller's buffer")
 	}
 	got, missing := d.LookupAll([]string{"alpha", "nope", "beta"})
 	if len(got) != 2 || missing != 1 {
