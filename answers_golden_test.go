@@ -8,8 +8,10 @@ package acq_test
 // The file is self-describing: the check parses each line back into its
 // query and re-renders it through Graph.Search, Snapshot.Search, a graph
 // reloaded from a SaveSnapshot container, an Overlay snapshot after a
-// mutation batch that leaves the graph as it was, and graphs indexed with 1
-// and 8 build workers. Only generation draws queries.
+// mutation batch that leaves the graph as it was, graphs indexed with 1
+// and 8 build workers, and the decoded SearchJSON bytes of the Snapshot and
+// the Overlay, on the cache miss and on the hit. Only generation draws
+// queries.
 // The clique and truss modes can cost seconds on a dense ĉore, so at
 // generation a heavy-mode query is kept only if it completes within
 // goldenHeavyDeadline; which ones qualified is then fixed by the file, and
@@ -21,6 +23,7 @@ package acq_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -28,6 +31,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -224,14 +228,15 @@ func goldenAnswer(q acq.Query, res acq.Result, err error) string {
 // goldenGraph is one preset with the searchers the golden is checked
 // against: the indexed Graph, its Snapshot, a graph reloaded from a
 // SaveSnapshot container, an Overlay snapshot after a no-net-change mutation
-// batch, and graphs indexed with 1 and 8 build workers.
+// batch, graphs indexed with 1 and 8 build workers, and the SearchJSON bytes
+// of the Snapshot and the Overlay.
 type goldenGraph struct {
 	g        *acq.Graph
 	searches map[string]func(acq.Query) (acq.Result, error)
 }
 
 // goldenSearchers is the order the check runs the searchers in.
-var goldenSearchers = []string{"graph", "snapshot", "mapped", "overlay", "workers-1", "workers-8"}
+var goldenSearchers = []string{"graph", "snapshot", "mapped", "overlay", "workers-1", "workers-8", "snapshot-json", "overlay-json"}
 
 func loadGoldenGraph(t *testing.T, preset string) goldenGraph {
 	g := goldenIndexed(t, preset)
@@ -250,6 +255,10 @@ func loadGoldenGraph(t *testing.T, preset string) goldenGraph {
 		"snapshot": func(q acq.Query) (acq.Result, error) { return snap.Search(bgCtx, q) },
 		"mapped":   func(q acq.Query) (acq.Result, error) { return mapped.Search(bgCtx, q) },
 		"overlay":  func(q acq.Query) (acq.Result, error) { return overlay.Search(bgCtx, q) },
+		// Caches of their own, so the first SearchJSON of a query is a miss
+		// even after the plain searchers have cached it.
+		"snapshot-json": encodedSearch(acq.FreshCache(snap)),
+		"overlay-json":  encodedSearch(acq.FreshCache(overlay)),
 	}
 	for _, n := range []int{1, 8} {
 		acq.ForceBuildWorkers(t, n)
@@ -261,6 +270,37 @@ func loadGoldenGraph(t *testing.T, preset string) goldenGraph {
 		searches[fmt.Sprintf("workers-%d", n)] = func(q acq.Query) (acq.Result, error) { return built.Search(bgCtx, q) }
 	}
 	return goldenGraph{g: g, searches: searches}
+}
+
+// encodedSearch answers a query through s.SearchJSON twice, the cache miss
+// and then the hit, and decodes the bytes back into a Result. Both calls must
+// return the same bytes, and the Result SearchJSON returns beside them must
+// be the decoded one without its Communities.
+func encodedSearch(s *acq.Snapshot) func(acq.Query) (acq.Result, error) {
+	return func(q acq.Query) (acq.Result, error) {
+		var first []byte
+		var res acq.Result
+		for call := 0; call < 2; call++ {
+			enc, scalars, err := s.SearchJSON(bgCtx, q)
+			if err != nil {
+				return acq.Result{}, err
+			}
+			if call == 1 && !bytes.Equal(enc, first) {
+				return acq.Result{}, fmt.Errorf("hit bytes differ from the miss:\n%s\n%s", enc, first)
+			}
+			first = enc
+			res = acq.Result{}
+			if err := json.Unmarshal(enc, &res); err != nil {
+				return acq.Result{}, err
+			}
+			want := res
+			want.Communities = nil
+			if !reflect.DeepEqual(scalars, want) {
+				return acq.Result{}, fmt.Errorf("SearchJSON returned %+v beside bytes decoding to %+v", scalars, want)
+			}
+		}
+		return res, nil
+	}
 }
 
 // goldenIndexed loads preset at the golden's scale and builds its index.

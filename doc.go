@@ -149,7 +149,9 @@
 // single publication; WriteStats exposes overlay size and compaction
 // telemetry. SearchBatch pins one snapshot per batch. Successful snapshot
 // queries are memoised in a bounded per-snapshot LRU cache (canceled
-// evaluations are never cached). SnapshotStats reports the latest
+// evaluations are never cached); SearchJSON answers from the same cache
+// with the result's JSON encoding, made once per entry and shared
+// read-only. SnapshotStats reports the latest
 // publication latency and frozen payload size.
 //
 // The engine package wraps all of this in an embeddable HTTP serving engine

@@ -59,7 +59,8 @@
 // last frozen snapshot, with a background compactor folding the overlay
 // into a fresh base past Config.CompactionThreshold — so write cost tracks
 // the delta, not the graph. Repeated queries against one snapshot are
-// answered from its bounded LRU result cache.
+// answered from its bounded LRU result cache; POST /v1/search writes the
+// cached answer's JSON encoding, memoised on first use, around the version.
 //
 // Use New + Handler to mount the API inside an existing server, or Serve as
 // a one-call production entry point (what cmd/acqd does).

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"time"
 
 	acq "github.com/acq-search/acq"
@@ -587,7 +588,7 @@ func (e *Engine) serveSearchV1(w http.ResponseWriter, r *http.Request, c *Collec
 
 	snap := pin(g)
 	start := time.Now()
-	res, err := snap.Search(ctx, query)
+	body, res, err := snap.SearchJSON(ctx, query)
 	c.met.queries.Add(1)
 	c.met.queryNanos.Add(time.Since(start).Nanoseconds())
 	if err != nil {
@@ -596,7 +597,28 @@ func (e *Engine) serveSearchV1(w http.ResponseWriter, r *http.Request, c *Collec
 		return
 	}
 	c.met.recordApprox(query, &res)
-	writeJSON(w, http.StatusOK, map[string]any{"version": snap.Version(), "result": res})
+	writeSearchResult(w, snap.Version(), body)
+}
+
+// searchHead opens every search response body.
+var searchHead = []byte(`{"result":`)
+
+// writeSearchResult writes a 200 search response around a memoised result
+// encoding. The body is byte for byte what writeJSON(w, http.StatusOK,
+// map[string]any{"version": version, "result": res}) writes, since
+// encoding/json emits map keys sorted, but it copies and encodes nothing.
+func writeSearchResult(w http.ResponseWriter, version uint64, result []byte) {
+	tail := strconv.AppendUint([]byte(`,"version":`), version, 10)
+	tail = append(tail, "}\n"...)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(searchHead)+len(result)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	for _, part := range [][]byte{searchHead, result, tail} {
+		if _, err := w.Write(part); err != nil {
+			return // the client has gone: nobody is left to answer
+		}
+	}
 }
 
 // batchV1Req is the wire shape of POST .../batch.

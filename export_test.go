@@ -29,3 +29,10 @@ func Neighbors(g *Graph, v int32) []int32 {
 	}
 	return out
 }
+
+// FreshCache returns a snapshot of s's graph version with an empty result
+// cache of its own, so a test can take s's queries through the miss path
+// whatever s has cached already.
+func FreshCache(s *Snapshot) *Snapshot {
+	return newSnapshot(s.v, s.version, 0, &cacheStats{})
+}

@@ -2,10 +2,12 @@ package acq
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"github.com/acq-search/acq/internal/dataio"
@@ -34,18 +36,38 @@ type cacheStats struct {
 // by acquiring a newer snapshot.
 //
 // Successful query results are memoised in a bounded per-snapshot LRU cache
-// keyed by the normalised query, so repeated hot queries against the same
-// graph version cost one cache probe. The cache is dropped wholesale with
-// the snapshot, which makes stale results structurally impossible. The cache
-// is the one serving structure with internal (sharded, per-probe) locking;
-// disable it with Graph.SetResultCacheSize(-1) for a strictly lock-free read
-// path. Results are deep-copied at the cache boundary, so callers own every
-// Result they receive and may mutate it freely.
+// keyed by the normalised query. An entry holds the Result and, once a
+// SearchJSON has asked for it, the Result's JSON encoding. The cache is
+// dropped wholesale with the snapshot, which makes stale results
+// structurally impossible. The cache is the one serving structure with
+// internal (sharded, per-probe) locking; disable it with
+// Graph.SetResultCacheSize(-1) for a strictly lock-free read path.
+//
+// The cached Result itself is never handed out. Search returns a deep copy,
+// so callers own every Result they receive and may mutate it freely; a
+// Search hit costs one probe plus a copy proportional to the result size.
+// SearchJSON returns the entry's shared, read-only encoding; its hit costs
+// one probe whatever the result size.
 type Snapshot struct {
 	v       view
 	version uint64
-	cache   *lru.ShardedCache[Result]
+	cache   *lru.ShardedCache[*cacheEntry]
 	stats   *cacheStats
+}
+
+// cacheEntry is one memoised answer: a Result no caller ever sees, and its
+// JSON encoding, computed at most once by the first SearchJSON that needs it.
+type cacheEntry struct {
+	res  Result
+	once sync.Once
+	enc  []byte
+	err  error
+}
+
+// encoded returns the entry's JSON encoding, computing it on first use.
+func (e *cacheEntry) encoded() ([]byte, error) {
+	e.once.Do(func() { e.enc, e.err = json.Marshal(e.res) })
+	return e.enc, e.err
 }
 
 // newSnapshot assembles a snapshot around an already-cloned view. cacheSize
@@ -57,7 +79,7 @@ func newSnapshot(v view, version uint64, cacheSize int, stats *cacheStats) *Snap
 		cacheSize = DefaultResultCacheSize
 	}
 	if cacheSize > 0 {
-		s.cache = lru.NewSharded[Result](cacheSize)
+		s.cache = lru.NewSharded[*cacheEntry](cacheSize)
 	}
 	return s
 }
@@ -79,21 +101,39 @@ func (G *Graph) PeekSnapshot() *Snapshot { return G.snap.Load() }
 // Query.Mode dispatch and the cancellation contract. Successful results are
 // memoised in the snapshot's LRU cache; an already-canceled ctx returns
 // ErrCanceled without touching the cache, and canceled evaluations are never
-// cached.
+// cached. The returned Result is the caller's own copy.
 func (s *Snapshot) Search(ctx context.Context, q Query) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if ctx.Done() != nil && ctx.Err() != nil {
-		return Result{}, canceledErr(ctx)
-	}
-	// Reject unknown modes/algorithms before the cache probe: an invalid
-	// query must never alias the cache key of a valid one (a typo'd mode
-	// would otherwise return a cached ModeCore result with a nil error).
-	if err := validateDispatch(q); err != nil {
+	e, err := s.cached(ctx, q)
+	if err != nil {
 		return Result{}, err
 	}
-	return s.cached(ctx, q)
+	if s.cache == nil {
+		return e.res, nil // stored nowhere, so the caller may have it
+	}
+	return e.res.clone(), nil
+}
+
+// SearchJSON is Search with the answer in its wire form: the JSON encoding
+// of the Result, as json.Marshal produces it. It takes the same route as
+// Search and shares its cache, and the encoding is memoised in the cache
+// entry, so a repeated query returns the bytes of the first one without
+// copying or re-encoding anything.
+//
+// The returned bytes are shared with every other caller of the same query
+// and must not be modified. The returned Result carries every field of the
+// answer except Communities, which is nil; decode the bytes for those.
+func (s *Snapshot) SearchJSON(ctx context.Context, q Query) ([]byte, Result, error) {
+	e, err := s.cached(ctx, q)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	enc, err := e.encoded()
+	if err != nil {
+		return nil, Result{}, err
+	}
+	res := e.res
+	res.Communities = nil
+	return enc, res, nil
 }
 
 // Stats computes summary statistics of the snapshot.
@@ -133,33 +173,50 @@ func (s *Snapshot) Save(w io.Writer) error { return dataio.WriteText(w, s.v.g) }
 // (.acqm), again safe under concurrent mutation of the originating graph.
 func (s *Snapshot) SaveSnapshot(w io.Writer) error { return s.v.saveSnapshot(w) }
 
-// cached memoises successful results of the mode dispatch in the snapshot's
-// LRU cache. Errors (including cancellations) are never cached: they are
-// cheap to recompute and callers expect errors.Is to keep working on fresh
-// wrap chains.
+// cached is the one route under Search and SearchJSON: check ctx, validate
+// the dispatch, then return q's cache entry, evaluating q and storing a new
+// entry on a miss. With the cache disabled the entry is fresh and stored
+// nowhere. Errors (including cancellations) are never cached: they are cheap
+// to recompute and callers expect errors.Is to keep working on fresh wrap
+// chains.
 //
-// Results are deep-copied at the cache boundary — a clone is stored on miss
-// and a clone is returned on hit — so every caller fully owns what it gets
-// back (sorting or truncating a returned Result never corrupts the cache,
-// and identical queries racing in one batch never share slices). A hit
-// therefore costs one probe plus a copy proportional to the result size,
-// still far below recomputing the search.
-func (s *Snapshot) cached(ctx context.Context, q Query) (Result, error) {
+// An entry's Result stays inside the cache: Search hands out clones and
+// SearchJSON hands out the encoding, so sorting or truncating a returned
+// Result never corrupts the cache, and identical queries racing in one batch
+// never share slices.
+func (s *Snapshot) cached(ctx context.Context, q Query) (*cacheEntry, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if ctx.Done() != nil && ctx.Err() != nil {
+		return nil, canceledErr(ctx)
+	}
+	// Reject unknown modes/algorithms before the cache probe: an invalid
+	// query must never alias the cache key of a valid one (a typo'd mode
+	// would otherwise return a cached ModeCore result with a nil error).
+	if err := validateDispatch(q); err != nil {
+		return nil, err
+	}
 	if s.cache == nil {
-		return s.v.evaluate(ctx, q)
+		res, err := s.v.evaluate(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		return &cacheEntry{res: res}, nil
 	}
 	key := cacheKey(q)
-	if res, ok := s.cache.Get(key); ok {
+	if e, ok := s.cache.Get(key); ok {
 		s.stats.hits.Add(1)
-		return res.clone(), nil
+		return e, nil
 	}
 	s.stats.misses.Add(1)
 	res, err := s.v.evaluate(ctx, q)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	s.cache.Put(key, res.clone())
-	return res, nil
+	e := &cacheEntry{res: res}
+	s.cache.Put(key, e)
+	return e, nil
 }
 
 // clone deep-copies a Result so cache-resident values are never aliased by
