@@ -2,7 +2,6 @@ package acq
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -13,7 +12,6 @@ import (
 	"github.com/acq-search/acq/internal/datagen"
 	"github.com/acq-search/acq/internal/dataio"
 	"github.com/acq-search/acq/internal/graph"
-	"github.com/acq-search/acq/internal/wal"
 )
 
 // Re-exported sentinel errors. Search and the variants wrap these; test with
@@ -55,34 +53,44 @@ var (
 // Graph is an attributed graph plus (once BuildIndex has run) its CL-tree
 // index and the incremental maintainer that keeps the two in sync.
 //
+// The graph lives in two forms: an immutable frozen CSR base (built once
+// from the builder output on a text or synthetic boot, mapped straight from
+// snapshot.acqm on a durable boot) and the master, a mutable row-override
+// overlay over that base (graph.Master) that every mutation writes to. A
+// publication hands readers an immutable copy of the overlay; compaction
+// folds it into a fresh base.
+//
 // # Concurrency
 //
-// Two read paths exist:
+// Two read paths exist, both over immutable published copies — the master
+// itself is only ever touched by code holding the writer lock:
 //
-//   - Direct reads (Search, Stats, ...) run against the live master copy with
-//     no synchronisation. Any number of concurrent direct readers is safe,
-//     but direct reads must not overlap with mutators.
-//   - Snapshot reads (Snapshot().Search, ...) run against an immutable
+//   - Direct reads (Search, Stats, ...) read the latest publication,
+//     publishing one first when writes landed since. They are safe alongside
+//     each other and alongside mutators; each call may see a newer version
+//     than the last.
+//   - Snapshot reads (Snapshot().Search, ...) run against one pinned
 //     published copy resolved through a single atomic pointer load — readers
 //     never block writers and the index read path takes no lock. (The
 //     optional per-snapshot result cache is the one structure with internal
 //     sharded locking; disable it via SetResultCacheSize(-1) for a strictly
 //     lock-free path.)
 //
-// Mutators (InsertEdge, RemoveEdge, AddKeyword, RemoveKeyword, BuildIndex)
-// are always safe to call from multiple goroutines: they serialise on an
-// internal mutex. While snapshots are in use, each effective mutation applies
-// incrementally to the master copy and then publishes a fresh copy-on-write
-// snapshot, so in-flight readers keep the version they pinned.
+// Mutators (ApplyMutations, InsertEdge, RemoveEdge, AddKeyword,
+// RemoveKeyword, BuildIndex) are always safe to call from multiple
+// goroutines: they serialise on an internal mutex. While snapshots are in
+// use, each effective mutation applies incrementally to the master and then
+// publishes a fresh snapshot, so in-flight readers keep the version they
+// pinned.
 type Graph struct {
-	g     *graph.Graph
+	g     *graph.Master
 	tree  *core.Tree
 	maint *core.Maintainer
 
 	// Snapshot machinery (see snapshot.go). mu serialises mutators and
 	// snapshot publication. snap holds the latest published snapshot and is
-	// nil until Snapshot is first called — before that, mutations cost
-	// nothing beyond the incremental index maintenance. version counts
+	// nil until Snapshot is first called — before that, mutations publish
+	// nothing. version counts
 	// effective mutations so caches and metrics can tell graph versions
 	// apart.
 	mu        sync.Mutex
@@ -99,24 +107,9 @@ type Graph struct {
 	lastPublishNanos  atomic.Int64
 	lastSnapshotBytes atomic.Int64
 
-	// --- LSM-style write path (write.go). base is the frozen base the
-	// current delta overlay is relative to; nil means overlay tracking is
-	// off (not serving, or SetCompactionThreshold < 0). The ov* tables hold
-	// the working row overrides, published as an immutable graph.Overlay per
-	// effective mutation. All guarded by mu; the atomics below are telemetry
-	// written under mu and read lock-free.
-	base       *graph.Frozen
-	ovAdjIdx   []int32
-	ovKwIdx    []int32
-	ovAdjRows  [][]graph.VertexID
-	ovKwRows   [][]graph.KeywordID
-	ovAdjLen   int
-	ovKwLen    int
-	ovKwTotal  int
-	ovDict     *graph.Dict
-	ovDictSize int
-
-	// pubTree is the immutable full tree clone that delta publications
+	// --- LSM-style write path (write.go), guarded by mu.
+	//
+	// pubTree is the immutable full tree clone that publications
 	// shallow-rebind (with a posting patch) while the tree structure is
 	// unchanged; pubStructRev/treeGen fingerprint its validity.
 	pubTree      *core.Tree
@@ -125,16 +118,17 @@ type Graph struct {
 	workingPatch map[*core.Node]*core.NodePostings
 	patchDirty   map[graph.VertexID]struct{}
 
-	// Compaction state: compactMu serialises folds, pend records rows
-	// dirtied while one is materialising off-lock.
+	// Compaction state: compactMu serialises folds, pendKw records the
+	// vertices whose keywords changed while one is materialising off-lock.
 	compactMu           sync.Mutex
-	pend                *pendingDelta
+	pendKw              map[graph.VertexID]struct{}
 	compactThreshold    atomic.Int64
 	compactArmed        atomic.Bool
 	compacting          atomic.Bool
 	compactions         atomic.Uint64
 	lastCompactionNanos atomic.Int64
 
+	// Delta telemetry, written under mu and read lock-free.
 	deltaOps       atomic.Int64
 	deltaEdgeOps   atomic.Int64
 	deltaKwOps     atomic.Int64
@@ -148,63 +142,31 @@ type Graph struct {
 	// EnableDurability/OpenDurable arms it, immutable afterwards. The WAL
 	// append hook in each mutator reads it under mu.
 	dur *durState
-
-	// lazyBoot defers materialising the mutable master after a clean mapped
-	// recovery (OpenDurable): reads serve from the published zero-copy
-	// snapshot, and the closure runs once — under mu, on the first operation
-	// that needs g/tree/maint — so cold start never pays the master build.
-	// masterReady gates the lock-free fast paths; g, tree and maint are
-	// immutable once it reads true.
-	lazyBoot    func() (*graph.Graph, *core.Tree)
-	masterReady atomic.Bool
 }
 
-// newGraph wraps an internal graph (and optional prebuilt tree) in the
-// public type. All constructors funnel through here so the shared cache
-// statistics exist up front and the serving paths never need a lock to
-// reach them.
-func newGraph(g *graph.Graph, tree *core.Tree) *Graph {
-	G := &Graph{g: g, tree: tree, stats: &cacheStats{}}
-	if tree != nil {
-		G.maint = core.NewMaintainer(tree)
+// newGraph wraps a frozen base — and optionally a tree bound to it, which
+// must be immutable from here on — in the public type. The master starts as
+// an empty overlay over fz; the maintained tree is a fork of t bound to the
+// master (heap copies of the skeleton and vertex lists, so nothing it owns
+// aliases a mapped file; postings copied per node on first write), and t
+// itself becomes the first publication's rebind source. All constructors
+// funnel through here so the shared cache statistics exist up front and the
+// serving paths never need a lock to reach them.
+func newGraph(fz *graph.Frozen, t *core.Tree) *Graph {
+	G := &Graph{g: graph.NewMaster(fz), stats: &cacheStats{}}
+	if t != nil {
+		G.tree = t.Fork(G.g)
+		G.maint = core.NewMaintainer(G.tree)
+		G.pubTree = t
 	}
-	G.masterReady.Store(true)
+	G.resetPatchLocked()
 	return G
 }
 
-// newLazyGraph wraps a deferred master: boot is invoked once, under mu, on
-// the first operation that needs the mutable graph (a mutation, an index
-// rebuild, a checkpoint capture). Until then the caller must publish a
-// snapshot for the read paths to serve from.
-func newLazyGraph(boot func() (*graph.Graph, *core.Tree)) *Graph {
-	return &Graph{lazyBoot: boot, stats: &cacheStats{}}
-}
-
-// ensureMaster materialises the deferred master; the fast path is one atomic
-// load.
-func (G *Graph) ensureMaster() {
-	if G.masterReady.Load() {
-		return
-	}
-	G.mu.Lock()
-	defer G.mu.Unlock()
-	G.ensureMasterLocked()
-}
-
-// ensureMasterLocked installs the mutable master, its tree and the
-// maintainer from the deferred boot closure. Callers hold mu.
-func (G *Graph) ensureMasterLocked() {
-	if G.masterReady.Load() {
-		return
-	}
-	g, tree := G.lazyBoot()
-	G.lazyBoot = nil
-	G.g = g
-	G.tree = tree
-	if tree != nil {
-		G.maint = core.NewMaintainer(tree)
-	}
-	G.masterReady.Store(true)
+// fromBuilt freezes a builder's output once and wraps it; the slice-of-slices
+// graph is garbage afterwards.
+func fromBuilt(g *graph.Graph) *Graph {
+	return newGraph(g.Freeze(buildOptions().ResolvedWorkers(g)), nil)
 }
 
 // Builder constructs a Graph.
@@ -235,7 +197,7 @@ func (b *Builder) Build() (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newGraph(g, nil), nil
+	return fromBuilt(g), nil
 }
 
 // Load reads a graph in the text interchange format:
@@ -247,7 +209,7 @@ func Load(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newGraph(g, nil), nil
+	return fromBuilt(g), nil
 }
 
 // LoadSnapshot reads a snapshot file written by SaveSnapshot (or a durable
@@ -255,11 +217,11 @@ func Load(r io.Reader) (*Graph, error) {
 // stored. The graph starts at version 0. (File snapshots are unrelated to the
 // in-memory Snapshot type used for concurrent serving.)
 func LoadSnapshot(r io.Reader) (*Graph, error) {
-	g, tree, err := dataio.ReadMapped(r)
+	fz, tree, err := dataio.ReadMapped(r)
 	if err != nil {
 		return nil, err
 	}
-	return newGraph(g, tree), nil
+	return newGraph(fz, tree), nil
 }
 
 // Save writes the graph in the text interchange format.
@@ -269,19 +231,12 @@ func (G *Graph) Save(w io.Writer) error { return dataio.WriteText(w, G.view().g)
 // in the mapped container format (.acqm) that durable collections use.
 func (G *Graph) SaveSnapshot(w io.Writer) error { return G.view().saveSnapshot(w) }
 
-// saveSnapshot writes v's graph and tree as a mapped container; whichever
-// representation v holds, it is flattened into one CSR first.
+// saveSnapshot writes v's graph and tree as a mapped container; an overlay
+// (a publication or the master) is flattened into one CSR first.
 func (v view) saveSnapshot(w io.Writer) error {
-	var fz *graph.Frozen
-	switch g := v.g.(type) {
-	case *graph.Frozen:
-		fz = g
-	case *graph.Overlay:
-		fz = g.Materialize(1)
-	case *graph.Graph:
-		fz = g.Freeze(1)
-	default:
-		return fmt.Errorf("acq: cannot snapshot graph representation %T", v.g)
+	fz, ok := v.g.(*graph.Frozen)
+	if !ok {
+		fz = v.g.(interface{ Materialize(int) *graph.Frozen }).Materialize(1)
 	}
 	return dataio.WriteMapped(w, fz, dataio.FlattenTree(v.tree), 0)
 }
@@ -294,7 +249,7 @@ func Synthetic(preset string, scale float64) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newGraph(datagen.Generate(cfg.Scale(scale)), nil), nil
+	return fromBuilt(datagen.Generate(cfg.Scale(scale))), nil
 }
 
 // IndexMethod selects a CL-tree construction algorithm.
@@ -339,7 +294,6 @@ func (G *Graph) BuildIndexWith(m IndexMethod) { G.BuildIndexOpts(BuildOptions{Me
 func (G *Graph) BuildIndexOpts(o BuildOptions) {
 	G.mu.Lock()
 	defer G.mu.Unlock()
-	G.ensureMasterLocked()
 	start := time.Now()
 	if o.Method == IndexBasic {
 		G.tree = core.BuildBasic(G.g)
@@ -355,11 +309,9 @@ func (G *Graph) BuildIndexOpts(o BuildOptions) {
 	// index; the next delta publication must pay one full clone.
 	G.treeGen++
 	G.pubTree = nil
-	if G.base != nil {
-		G.workingPatch = map[*core.Node]*core.NodePostings{}
-		G.patchDirty = map[graph.VertexID]struct{}{}
-	}
-	G.mutatedLocked()
+	G.resetPatchLocked()
+	G.version.Add(1)
+	G.afterWriteLocked()
 }
 
 // IndexBuildStats reports the wall-clock duration of the most recent index
@@ -418,48 +370,55 @@ func (G *Graph) CoreNumber(v int32) (int, error) { return G.view().coreNumber(v)
 // atomic pointer load, and nothing it references is ever mutated again.
 //
 // Calling Snapshot switches the graph into serving mode: while readers keep
-// acquiring snapshots, every effective mutation publishes a fresh snapshot
-// (copy-on-write over the incrementally maintained master), so the cost of a
-// mutation grows from the incremental-maintenance cost to an additional
-// O(n+m) copy. Write bursts coalesce: mutations applied while nobody has
-// acquired the latest snapshot skip the copy, and the next Snapshot call
-// pays for a single republication instead. Readers that need one consistent
+// acquiring snapshots, every effective mutation publishes a fresh snapshot —
+// an immutable copy of the master's overlay, O(delta) rather than O(n+m).
+// Write bursts coalesce: mutations applied while nobody has acquired the
+// latest snapshot skip the publication, and the next Snapshot call pays for
+// a single republication instead. Readers that need one consistent
 // view across several queries should call Snapshot once and reuse it;
 // SearchBatch does exactly that.
 func (G *Graph) Snapshot() *Snapshot {
+	s := G.current()
+	// Mark the snapshot consumed, but only when the flag isn't already set:
+	// the common hot-read case then stays free of shared writes (no
+	// cache-line ping-pong between parallel readers).
+	if !G.snapRead.Load() {
+		G.snapRead.Store(true)
+	}
+	return s
+}
+
+// current returns the snapshot of the latest version, publishing it first
+// when writes landed since the last publication. Unlike Snapshot it does not
+// mark the snapshot consumed, so the direct reads built on it (Search,
+// Stats, ...) leave write bursts coalescing.
+func (G *Graph) current() *Snapshot {
 	if s := G.snap.Load(); s != nil && s.version == G.version.Load() {
-		// Mark the snapshot consumed, but only when the flag isn't already
-		// set: the common hot-read case then stays free of shared writes
-		// (no cache-line ping-pong between parallel readers).
-		if !G.snapRead.Load() {
-			G.snapRead.Store(true)
-		}
 		return s
 	}
 	G.mu.Lock()
 	defer G.mu.Unlock()
-	s := G.snap.Load()
-	if s == nil || s.version != G.version.Load() {
-		s = G.publishLocked()
+	if s := G.snap.Load(); s != nil && s.version == G.version.Load() {
+		return s
 	}
-	G.snapRead.Store(true)
-	return s
+	return G.publishLocked()
 }
 
-// EndServing leaves serving mode: the published snapshot is released (its
-// memory becomes reclaimable once in-flight readers drop their references)
-// and mutations go back to costing only the incremental index maintenance,
-// until the next Snapshot call re-activates publication. Use it after a
-// batch-then-mutate phase that doesn't need snapshot isolation anymore.
-// Snapshots already held by readers remain valid — they are immutable.
+// EndServing leaves serving mode: the published snapshot and the
+// publication tree are released (their memory becomes reclaimable once
+// in-flight readers drop their references), the master's overlay is folded
+// into its base, and mutations go back to costing only the incremental index
+// maintenance — no publication, no delta telemetry — until the next Snapshot
+// call or direct read re-activates publication. Use it after a batch-then-mutate phase that
+// doesn't need snapshot isolation anymore. Snapshots already held by readers
+// remain valid — they are immutable.
 func (G *Graph) EndServing() {
 	G.mu.Lock()
 	defer G.mu.Unlock()
 	G.snap.Store(nil)
 	G.snapRead.Store(false)
-	// Overlay tracking exists only to publish snapshots cheaply; outside
-	// serving mode mutations should cost nothing beyond index maintenance.
-	G.dropDeltaLocked()
+	G.compactNowLocked()
+	G.pubTree = nil
 }
 
 // Version returns the number of effective mutations applied so far. Two
@@ -486,22 +445,15 @@ func (G *Graph) ResultCacheStats() (hits, misses uint64) {
 	return G.stats.hits.Load(), G.stats.misses.Load()
 }
 
-// mutatedLocked records an effective mutation and decides how the next
-// snapshot comes about. Callers hold G.mu.
+// afterWriteLocked runs once per write (mutation batch or index rebuild),
+// after the version moved: it decides how the next snapshot comes about and
+// lets the compactor check the overlay size. Callers hold G.mu.
 //
 // While the published snapshot is being consumed (a reader acquired it since
 // publication), the next one is built eagerly so the read path stays a pure
 // atomic load. When writes arrive back-to-back with no reader in between,
-// the copies coalesce: the stale snapshot stays published but its version no
-// longer matches, and the next Snapshot call rebuilds once under the mutex.
-func (G *Graph) mutatedLocked() {
-	G.version.Add(1)
-	G.afterWriteLocked()
-}
-
-// afterWriteLocked runs once per write (single mutation or whole batch):
-// republish eagerly while the published snapshot is being consumed, and let
-// the compactor check the overlay size. Callers hold G.mu.
+// the publications coalesce: the stale snapshot stays published but its
+// version no longer matches, and the next read rebuilds once under the mutex.
 func (G *Graph) afterWriteLocked() {
 	if G.snap.Load() != nil && G.snapRead.Load() {
 		G.publishLocked()
@@ -510,69 +462,30 @@ func (G *Graph) afterWriteLocked() {
 }
 
 // publishLocked publishes a fresh snapshot of the master with an atomic
-// store; callers hold G.mu. With overlay tracking active this is a delta
-// publication — an O(delta) graph.Overlay over the frozen base plus a
-// shallow tree rebind (see write.go) — and otherwise a full freeze, which
-// also (re)initialises tracking unless SetCompactionThreshold disabled it.
+// store; callers hold G.mu. The snapshot's graph is the master's base when
+// the overlay is empty and an immutable copy of the overlay otherwise (two
+// n-sized index arrays; the rows are shared), and its tree is a shallow
+// rebind of the last full tree clone (see write.go). A first publication
+// (none published yet, or none since EndServing) and every publication with
+// SetCompactionThreshold < 0 first fold the overlay into a fresh base.
 func (G *Graph) publishLocked() *Snapshot {
-	G.ensureMasterLocked()
-	if G.base == nil || G.compactThreshold.Load() < 0 {
-		return G.publishFullLocked()
-	}
-	return G.publishDeltaLocked()
-}
-
-// publishFullLocked freezes the master graph into a compact CSR copy, rebinds
-// a clone of the tree to it, and publishes the pair with an atomic store.
-// Callers hold G.mu. Freezing costs O(n+m) sequential copying but only a
-// handful of allocations — adjacency and keyword payloads land in four flat
-// arrays — so republication under a write burst no longer scales the
-// garbage collector's work with the vertex count. The copy fans out over
-// the auto-sized build workers. COW mutation still runs on the mutable
-// master; the frozen form is publication-only.
-func (G *Graph) publishFullLocked() *Snapshot {
 	start := time.Now()
-	workers := buildOptions().ResolvedWorkers(G.g)
-	var prev *graph.Frozen
-	if old := G.snap.Load(); old != nil {
-		switch pg := old.v.g.(type) {
-		case *graph.Frozen:
-			prev = pg
-		case *graph.Overlay:
-			prev = pg.Base()
-		}
+	if G.snap.Load() == nil || G.compactThreshold.Load() < 0 {
+		G.compactNowLocked()
 	}
-	fz := G.g.FreezeReuse(workers, prev)
-	var t2 *core.Tree
-	if G.tree != nil {
-		t2 = G.tree.CloneOpts(fz, core.BuildOptions{Workers: workers})
-	}
-	s := newSnapshot(view{g: fz, tree: t2}, G.version.Load(), G.cacheSize, G.stats)
-	G.snap.Store(s)
-	G.snapRead.Store(false)
-	G.lastPublishNanos.Store(time.Since(start).Nanoseconds())
-	G.lastSnapshotBytes.Store(int64(fz.SizeBytes()))
-	G.fullPublishes.Add(1)
-	if G.compactThreshold.Load() >= 0 {
-		G.resetDeltaLocked(fz, t2)
+	var v graph.View
+	if G.g.Empty() {
+		v = G.g.Base()
+		G.fullPublishes.Add(1)
 	} else {
-		G.dropDeltaLocked()
+		v = G.g.Publish()
+		G.deltaPublishes.Add(1)
 	}
-	return s
-}
-
-// publishDeltaLocked publishes the working overlay over the frozen base —
-// O(delta) instead of O(n+m). Callers hold G.mu and guarantee base != nil.
-func (G *Graph) publishDeltaLocked() *Snapshot {
-	start := time.Now()
-	ov := G.overlayLocked()
-	t2 := G.deltaTreeLocked(ov)
-	s := newSnapshot(view{g: ov, tree: t2}, G.version.Load(), G.cacheSize, G.stats)
+	s := newSnapshot(view{g: v, tree: G.pubTreeLocked(v)}, G.version.Load(), G.cacheSize, G.stats)
 	G.snap.Store(s)
 	G.snapRead.Store(false)
 	G.lastPublishNanos.Store(time.Since(start).Nanoseconds())
-	G.lastSnapshotBytes.Store(int64(G.base.SizeBytes()) + G.deltaBytes.Load())
-	G.deltaPublishes.Add(1)
+	G.lastSnapshotBytes.Store(int64(G.g.Base().SizeBytes() + G.g.DeltaBytes()))
 	return s
 }
 
@@ -586,60 +499,27 @@ func (G *Graph) SnapshotStats() (publish time.Duration, bytes int) {
 
 // --- Mutation. All mutators keep the index consistent when one is built,
 // serialise against each other, and republish the snapshot when serving
-// mode is active.
+// mode is active. The single-op mutators are one-entry ApplyMutations
+// batches.
 
-// InsertEdge adds an undirected edge, reporting whether it was new.
+// InsertEdge adds an undirected edge, reporting whether it was new. Vertex
+// IDs out of range report false.
 func (G *Graph) InsertEdge(u, v int32) bool {
-	G.mu.Lock()
-	defer G.mu.Unlock()
-	G.ensureMasterLocked()
-	v0 := G.version.Load()
-	changed := G.applyInsertEdgeLocked(graph.VertexID(u), graph.VertexID(v))
-	if changed {
-		G.durAppendLocked(v0, []wal.Op{{Kind: wal.OpInsertEdge, U: u, V: v}})
-		G.mutatedLocked()
-	}
-	return changed
+	return G.ApplyMutations([]Mutation{{Op: OpInsertEdge, U: u, V: v}})[0].Changed
 }
 
 // RemoveEdge deletes an undirected edge, reporting whether it existed.
 func (G *Graph) RemoveEdge(u, v int32) bool {
-	G.mu.Lock()
-	defer G.mu.Unlock()
-	G.ensureMasterLocked()
-	v0 := G.version.Load()
-	changed := G.applyRemoveEdgeLocked(graph.VertexID(u), graph.VertexID(v))
-	if changed {
-		G.durAppendLocked(v0, []wal.Op{{Kind: wal.OpRemoveEdge, U: u, V: v}})
-		G.mutatedLocked()
-	}
-	return changed
+	return G.ApplyMutations([]Mutation{{Op: OpRemoveEdge, U: u, V: v}})[0].Changed
 }
 
 // AddKeyword attaches a keyword to a vertex, reporting whether W(v) changed.
 func (G *Graph) AddKeyword(v int32, word string) bool {
-	G.mu.Lock()
-	defer G.mu.Unlock()
-	G.ensureMasterLocked()
-	v0 := G.version.Load()
-	changed := G.applyAddKeywordLocked(graph.VertexID(v), word)
-	if changed {
-		G.durAppendLocked(v0, []wal.Op{{Kind: wal.OpAddKeyword, U: v, Word: word}})
-		G.mutatedLocked()
-	}
-	return changed
+	return G.ApplyMutations([]Mutation{{Op: OpAddKeyword, Vertex: v, Keyword: word}})[0].Changed
 }
 
-// RemoveKeyword detaches a keyword from a vertex.
+// RemoveKeyword detaches a keyword from a vertex, reporting whether it was
+// there.
 func (G *Graph) RemoveKeyword(v int32, word string) bool {
-	G.mu.Lock()
-	defer G.mu.Unlock()
-	G.ensureMasterLocked()
-	v0 := G.version.Load()
-	changed := G.applyRemoveKeywordLocked(graph.VertexID(v), word)
-	if changed {
-		G.durAppendLocked(v0, []wal.Op{{Kind: wal.OpRemoveKeyword, U: v, Word: word}})
-		G.mutatedLocked()
-	}
-	return changed
+	return G.ApplyMutations([]Mutation{{Op: OpRemoveKeyword, Vertex: v, Keyword: word}})[0].Changed
 }

@@ -6,6 +6,7 @@ package acq_test
 // nothing exercised read-during-maintain at all.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -220,8 +221,18 @@ func TestConcurrentSearchDuringMaintenance(t *testing.T) {
 	if v := g.Version(); v < updates {
 		t.Fatalf("version = %d, want ≥ %d", v, updates)
 	}
-	// The master index must still be intact: direct and snapshot reads agree.
-	want, err := g.Search(bgCtx, acq.Query{Vertex: "c0v0", K: 3})
+	// The maintained index must still be intact: a graph rebuilt from the
+	// final state answers the same.
+	var text bytes.Buffer
+	if err := g.Save(&text); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := acq.Load(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt.BuildIndex()
+	want, err := rebuilt.Search(bgCtx, acq.Query{Vertex: "c0v0", K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +240,57 @@ func TestConcurrentSearchDuringMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("post-churn mismatch: direct %+v snapshot %+v", want, got)
+	if !reflect.DeepEqual(want.Communities, got.Communities) {
+		t.Fatalf("post-churn mismatch: rebuilt %+v maintained %+v", want, got)
+	}
+}
+
+// TestDirectReadsDuringWrites: direct reads (Search, NumEdges, Label, Stats)
+// read the latest publication, publishing one when writes landed since, and
+// never the writer's master — so they may overlap with mutators, with
+// background compactions (which rebase the master) and with EndServing.
+// Run with -race.
+func TestDirectReadsDuringWrites(t *testing.T) {
+	g := servingGraph(t, 2)
+	g.SetCompactionThreshold(16)
+	n := g.NumVertices()
+	ops := writeStream(11, n, 300)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v := int32((97*r + i) % n)
+				if _, err := g.Search(bgCtx, acq.Query{VertexID: v, K: 2}); err != nil && !isAcceptable(err) {
+					t.Errorf("reader %d: %v", r, err)
+					return
+				}
+				if g.NumEdges() <= 0 || g.Label(v) != "" || g.Stats().Vertices != n {
+					t.Errorf("reader %d: inconsistent direct reads", r)
+					return
+				}
+			}
+		}(r)
+	}
+	for i, op := range ops {
+		g.ApplyMutations([]acq.Mutation{op})
+		if i == len(ops)/2 {
+			g.EndServing()
+		}
+	}
+	close(stop)
+	wg.Wait()
+	g.Compact()
+	if g.WriteStats().Compactions == 0 {
+		t.Fatalf("no compaction ran over %d mutations at threshold 16", len(ops))
 	}
 }
 

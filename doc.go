@@ -124,24 +124,26 @@
 // memory-mappable snapshot. OpenDurable recovers the directory after any
 // crash: it mmaps the snapshot, replays whatever the log holds past it, and
 // settles the directory back to one-snapshot/one-log. A clean boot (empty
-// log) serves entirely off the mapping — zero parse, zero copy — and defers
-// building the mutable master until the first write. DurabilityStats
-// reports WAL size, checkpoint progress and recovery telemetry.
+// log) serves entirely off the mapping — zero parse, zero copy — and the
+// writer's master is an empty overlay over that same mapped graph, so the
+// first write costs no more than any other. DurabilityStats reports WAL
+// size, checkpoint progress and recovery telemetry.
 //
 // # Concurrency and serving
 //
 // A Graph is safe for concurrent direct Search calls, and mutators
-// (InsertEdge, AddKeyword, ...) serialise internally — but direct reads must
-// not overlap with mutations. For the paper's online-serving scenario use
-// Snapshot: it returns an immutable graph+index view through a single atomic
-// pointer load, safe for unlimited lock-free readers while updates keep
-// flowing. Each effective mutation maintains the index incrementally on the
-// mutable master; publication is LSM-style: the first snapshot freezes the
-// graph into a compact CSR form (flat adjacency and keyword arrays — O(1)
-// allocations per publication instead of two per vertex), and subsequent
-// writes publish an O(delta) overlay over that frozen base — only the rows
-// the write touched are copied, and the CL-tree's flattened postings are
-// patched per node rather than re-cloned. A background compactor folds the
+// (InsertEdge, AddKeyword, ...) serialise internally; a direct read sees the
+// latest write, publishing a snapshot first when needed. For the paper's
+// online-serving scenario use Snapshot: it returns an immutable graph+index
+// view through a single atomic pointer load, safe for unlimited lock-free
+// readers while updates keep flowing. The graph is a compact frozen CSR base (flat adjacency and
+// keyword arrays, built once at load or mapped from a durable snapshot) plus
+// the master: a mutable overlay of per-vertex row overrides that each
+// effective mutation writes — replacing only the rows it touches — while the
+// index is maintained incrementally beside it. Publication is LSM-style: a
+// snapshot is an immutable O(delta) copy of that overlay over the shared
+// base, and the CL-tree's flattened postings are patched per node rather
+// than re-cloned. A background compactor folds the
 // overlay back into a fresh frozen base once it crosses a configurable
 // threshold (SetCompactionThreshold), off the serving path; readers observe
 // only atomic snapshot swaps. ApplyMutations applies a whole batch of edge

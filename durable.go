@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/acq-search/acq/internal/core"
 	"github.com/acq-search/acq/internal/dataio"
 	"github.com/acq-search/acq/internal/graph"
 	"github.com/acq-search/acq/internal/wal"
@@ -147,10 +146,10 @@ type durState struct {
 	ckptArmed     atomic.Bool
 	checkpointing atomic.Bool
 
-	// mapped is the boot-time mapping of snapshot.acqm; the zero-copy serving
-	// snapshot and the master's rows alias it, so it stays open for the
-	// graph's lifetime (file-backed pages — address space, not resident
-	// memory, once evicted).
+	// mapped is the boot-time mapping of snapshot.acqm; the boot base (and so
+	// every row the master has not overridden) and the boot snapshot's tree
+	// alias it, so it stays open for the graph's lifetime (file-backed pages
+	// — address space, not resident memory, once evicted).
 	mapped *dataio.Mapped
 }
 
@@ -263,10 +262,11 @@ func (G *Graph) EnableDurability(o DurableOptions) error {
 // snapshot doesn't already include, and re-arms logging. Returns
 // ErrNoDurableState when the directory holds no snapshot.
 //
-// A clean boot (empty WAL, stored tree) publishes the mapped arrays directly
-// and defers building the mutable master until the first mutation, so
-// time-to-first-snapshot is the mmap plus one tree rehydration — no
-// byte-by-byte load of the graph.
+// A clean boot (empty WAL, stored tree) publishes the mapped arrays directly,
+// so time-to-first-snapshot is the mmap plus one tree rehydration — no
+// byte-by-byte load of the graph. The writer's master is an empty overlay
+// over the same mapped Frozen, built eagerly: its cost is one n-sized index
+// fill and a fork of the tree for the maintainer (core.Tree.Fork).
 //
 // When records were replayed (or a previous checkpoint was interrupted), the
 // recovery finishes with a fresh checkpoint, so the directory always settles
@@ -301,11 +301,10 @@ func OpenDurable(o DurableOptions) (*Graph, error) {
 	d := &durState{dir: o.Dir, policy: policy, every: o.every(), mapped: mapped}
 
 	// Pre-scan: does any intact record postdate the snapshot? Read-only and
-	// O(records) — it decides whether boot can stay on the zero-copy fast
-	// path without materialising the mutable master at all. wal.log.tmp is
-	// scanned too: a crash inside a checkpoint's rotation window can leave
-	// the newest acknowledged records under the staged name (see the
-	// protocol comment).
+	// O(records) — it decides whether boot can publish the mapped state as is
+	// and skip replay. wal.log.tmp is scanned too: a crash inside a
+	// checkpoint's rotation window can leave the newest acknowledged records
+	// under the staged name (see the protocol comment).
 	dirty := len(prevs) > 0
 	for _, p := range []string{walPath, walTmpPath} {
 		if dirty {
@@ -321,33 +320,17 @@ func OpenDurable(o DurableOptions) (*Graph, error) {
 		}
 	}
 
-	if !dirty && mapped.HasTree() {
+	fz, t, err := mapped.Load()
+	if err != nil {
+		return nil, err
+	}
+	G := newGraph(fz, t)
+	G.version.Store(snapV)
+
+	if !dirty && t != nil {
 		// A staged rotation that never recorded anything past the snapshot
 		// is inert; clear it so the directory is clean again.
 		os.Remove(walTmpPath)
-		// Clean recovery: the mapped arrays are exactly the current state, so
-		// the first served snapshot reads straight from the mapping — the
-		// zero-copy cold start. The mutable master (a second, copy-on-write
-		// private mapping of the same file) is deferred: its build cost lands
-		// on the first mutation instead of on boot.
-		fz, err := mapped.Frozen(true)
-		if err != nil {
-			return nil, err
-		}
-		t2, err := mapped.Tree(fz)
-		if err != nil {
-			return nil, err
-		}
-		G := newLazyGraph(func() (*graph.Graph, *core.Tree) {
-			g, t, err := mapped.Master()
-			if err != nil {
-				// Boot validated the same bytes; failing here means the file
-				// was corrupted out from under the live mapping.
-				panic(fmt.Sprintf("acq: materialising mapped master %s: %v", snapPath, err))
-			}
-			return g, t
-		})
-		G.version.Store(snapV)
 		if log, _, err := wal.Open(walPath, policy, func(rec wal.Record) error {
 			if rec.PreVersion+uint64(len(rec.Ops)) > snapV {
 				return fmt.Errorf("acq: WAL record appeared in %s mid-recovery", o.Dir)
@@ -367,19 +350,13 @@ func OpenDurable(o DurableOptions) (*Graph, error) {
 		d.lastCkptVersion.Store(snapV)
 		d.everCheckpointed.Store(true)
 		G.dur = d
-		G.publishMappedBoot(fz, t2)
+		// Clean recovery: the mapped arrays are exactly the current state, so
+		// the first snapshot reads straight from the mapping — the zero-copy
+		// cold start.
+		G.current()
 		ok = true
 		return G, nil
 	}
-
-	// Records to replay (or no stored tree): materialise the master eagerly
-	// and walk the logs against it.
-	master, mtree, err := mapped.Master()
-	if err != nil {
-		return nil, err
-	}
-	G := newGraph(master, mtree)
-	G.version.Store(snapV)
 
 	// Replay: rotated logs first (version order), then the active log. cur
 	// tracks the version the master has reached; records at or below it are
@@ -455,25 +432,6 @@ func OpenDurable(o DurableOptions) (*Graph, error) {
 	os.Remove(walTmpPath)
 	ok = true
 	return G, nil
-}
-
-// publishMappedBoot installs the boot snapshot over the mapped frozen view
-// and arms overlay tracking against it, so the first writes publish O(delta)
-// overlays over the mapping instead of paying a full freeze.
-func (G *Graph) publishMappedBoot(fz *graph.Frozen, t2 *core.Tree) {
-	G.mu.Lock()
-	defer G.mu.Unlock()
-	s := newSnapshot(view{g: fz, tree: t2}, G.version.Load(), G.cacheSize, G.stats)
-	G.snap.Store(s)
-	G.snapRead.Store(false)
-	G.lastSnapshotBytes.Store(int64(fz.SizeBytes()))
-	G.fullPublishes.Add(1)
-	if G.compactThreshold.Load() >= 0 {
-		// nil publication tree: the first delta publication pays one full
-		// clone (the mapped serving tree stays exclusively the boot
-		// snapshot's).
-		G.resetDeltaLocked(fz, nil)
-	}
 }
 
 // sortedWalPrevs lists the rotated logs in rotation (version) order. The
@@ -609,17 +567,11 @@ func (G *Graph) checkpointOnce() error {
 	// the window before that lands).
 	G.mu.Lock()
 	v := G.version.Load()
-	// Anything past the no-op check writes a snapshot, and that capture needs
-	// the master's tree — materialise a deferred mapped boot first.
-	G.ensureMasterLocked()
-	// Capture. The compacted base is the frozen master whenever no write
-	// landed since the fold; otherwise pay a freeze here.
-	var fz *graph.Frozen
-	if G.base != nil && G.deltaOps.Load() == 0 {
-		fz = G.base
-	} else {
-		workers := buildOptions().ResolvedWorkers(G.g)
-		fz = G.g.FreezeReuse(workers, G.base)
+	// Capture. The master's base is the current state whenever no write
+	// landed since the fold; otherwise pay a materialisation here.
+	fz := G.g.Base()
+	if !G.g.Empty() {
+		fz = G.g.Publish().Materialize(buildOptions().ResolvedWorkers(G.g))
 	}
 	ft := dataio.FlattenTree(G.tree)
 	// Rotate: records up to v move aside, the staged log takes everything

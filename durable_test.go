@@ -1,6 +1,7 @@
 package acq
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -83,7 +84,7 @@ func assertSameGraph(tb testing.TB, want, got *Graph) {
 	if want.NumVertices() != got.NumVertices() || want.NumEdges() != got.NumEdges() {
 		tb.Fatalf("size %d/%d, want %d/%d", got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
 	}
-	wv, gv := want.view().g, got.view().g // serves the boot snapshot on lazy mapped opens
+	wv, gv := want.view().g, got.view().g
 	for v := 0; v < want.NumVertices(); v++ {
 		id := graph.VertexID(v)
 		if !reflect.DeepEqual(append([]graph.VertexID{}, wv.Neighbors(id)...), append([]graph.VertexID{}, gv.Neighbors(id)...)) {
@@ -323,5 +324,122 @@ func TestCrashRecovery(t *testing.T) {
 			}
 			assertSameGraph(t, want, again)
 		})
+	}
+}
+
+// durableQueries is a small fixed query set over the durable base graph:
+// plain, keyword-constrained and threshold queries around a few vertices.
+func durableQueries() []Query {
+	var qs []Query
+	for _, v := range []int32{0, 3, 12, 25, 41} {
+		qs = append(qs,
+			Query{VertexID: v, K: 2},
+			Query{VertexID: v, K: 3},
+			Query{VertexID: v, K: 2, Keywords: []string{"common", "rare", "fresh"}},
+			Query{VertexID: v, K: 2, Mode: ModeThreshold, Theta: 0.5})
+	}
+	return qs
+}
+
+// answersOf runs qs on s; a failed query records its error text.
+func answersOf(s *Snapshot, qs []Query) []string {
+	out := make([]string, len(qs))
+	for i, q := range qs {
+		res, err := s.Search(context.Background(), q)
+		out[i] = fmt.Sprintf("%+v %v", res.Communities, err)
+	}
+	return out
+}
+
+// TestDurableWritesLeaveMappedSnapshotUntouched: after a clean boot the base
+// graph and the boot snapshot read straight from the mapped snapshot.acqm,
+// while writes go to the master's heap overlay. Stripping every edge of
+// several vertices and churning keywords must leave the file byte for byte
+// as it was and the held boot snapshot answering as before, and the written
+// graph must answer like a text-booted graph given the same ops.
+func TestDurableWritesLeaveMappedSnapshotUntouched(t *testing.T) {
+	const n = 60
+	dir := t.TempDir()
+	G := buildDurableBase(t, n)
+	var text bytes.Buffer
+	if err := G.Save(&text); err != nil {
+		t.Fatal(err)
+	}
+	if err := G.EnableDurability(DurableOptions{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	snapPath := filepath.Join(dir, snapshotFile)
+	fileBefore, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := OpenDurable(DurableOptions{Dir: dir, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.dur.mapped.ZeroCopy() {
+		t.Log("mmap unavailable: the boot base is a heap copy of the file")
+	}
+	got.SetResultCacheSize(-1) // every answer below is computed, never cached
+	boot := got.Snapshot()
+	qs := durableQueries()
+	bootAnswers := answersOf(boot, qs)
+
+	ref, err := Load(bytes.NewReader(text.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.BuildIndex()
+	apply := func(ops []Mutation) {
+		t.Helper()
+		for i, res := range got.ApplyMutations(ops) {
+			if res.Err != nil || !res.Changed {
+				t.Fatalf("op %+v not effective: %v", ops[i], res.Err)
+			}
+		}
+		ref.ApplyMutations(ops)
+	}
+	for _, v := range []int32{3, 10, 11, 40} {
+		var strip []Mutation
+		for _, u := range Neighbors(got, v) {
+			strip = append(strip, Mutation{Op: OpRemoveEdge, U: v, V: u})
+		}
+		apply(strip)
+		if len(Neighbors(got, v)) != 0 {
+			t.Fatalf("vertex %d kept edges", v)
+		}
+	}
+	apply([]Mutation{
+		{Op: OpAddKeyword, Vertex: 0, Keyword: "fresh"},
+		{Op: OpAddKeyword, Vertex: 12, Keyword: "fresh"},
+		{Op: OpRemoveKeyword, Vertex: 0, Keyword: "rare"},
+		{Op: OpRemoveKeyword, Vertex: 25, Keyword: "common"},
+		{Op: OpInsertEdge, U: 3, V: 41},
+	})
+
+	if fileAfter, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(fileBefore, fileAfter) {
+		t.Fatalf("writes changed snapshot.acqm (err %v)", err)
+	}
+	if !reflect.DeepEqual(answersOf(boot, qs), bootAnswers) {
+		t.Fatal("the held boot snapshot answers differently after the writes")
+	}
+	orig, err := LoadSnapshot(bytes.NewReader(fileBefore))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bv, ov := boot.v.g, orig.view().g
+	for v := 0; v < n; v++ {
+		id := graph.VertexID(v)
+		if !reflect.DeepEqual(bv.Neighbors(id), ov.Neighbors(id)) || !reflect.DeepEqual(bv.Keywords(id), ov.Keywords(id)) {
+			t.Fatalf("the boot snapshot's rows of vertex %d moved", v)
+		}
+	}
+	assertSameGraph(t, ref, got)
+	if !reflect.DeepEqual(answersOf(got.Snapshot(), qs), answersOf(ref.Snapshot(), qs)) {
+		t.Fatal("the written graph answers differently from a text-booted graph given the same ops")
+	}
+	if reflect.DeepEqual(answersOf(got.Snapshot(), qs), bootAnswers) {
+		t.Fatal("the writes changed no answer; the query set does not see them")
 	}
 }

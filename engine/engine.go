@@ -427,8 +427,7 @@ func (e *Engine) CreateCollection(name string, src Source) (*Collection, error) 
 			}
 		}
 		// Stats before complete: once the collection is ready, mutations can
-		// hit the master concurrently, and direct Stats reads must not
-		// overlap with mutators.
+		// land concurrently, and the log line describes the loaded state.
 		st := g.Stats()
 		c.complete(g)
 		e.cfg.Logf("engine: collection %q ready: %d vertices / %d edges (kmax %d)",

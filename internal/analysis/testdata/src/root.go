@@ -13,4 +13,10 @@ func Publish(v graph.View) {
 		g.InsertEdge(1, 2)
 		g.AddKeyword(1, "w")
 	}
+	if m, ok := v.(*graph.Master); ok {
+		m.RemoveEdge(1, 2)
+	}
+	if w, ok := v.(graph.Mutable); ok {
+		w.RemoveKeyword(1, "w")
+	}
 }

@@ -31,6 +31,31 @@ func mutateMaster(g *graph.Graph) {
 	g.RemoveKeyword(1, "w") // want "mutating graph.Graph method RemoveKeyword"
 }
 
+func downcastWriterMaster(v graph.View) *graph.Master {
+	return v.(*graph.Master) // want "type assertion from graph.View to mutable *graph.Master"
+}
+
+func downcastMutable(v graph.View) bool {
+	_, ok := v.(graph.Mutable) // want "type assertion from graph.View to mutable graph.Mutable"
+	return ok
+}
+
+func sniffWriter(v graph.View) int {
+	switch v.(type) {
+	case graph.Mutable: // want "type assertion from graph.View to mutable graph.Mutable"
+		return 1
+	case *graph.Master: // want "type assertion from graph.View to mutable *graph.Master"
+		return 2
+	default:
+		return 0
+	}
+}
+
+func mutateWriterMaster(m *graph.Master) {
+	m.AddKeyword(1, "w") // want "mutating graph.Master method AddKeyword"
+	m.RemoveEdge(1, 2)   // want "mutating graph.Master method RemoveEdge"
+}
+
 // --- Suppressed: a maintainer's documented precondition check.
 
 func bindMaintainer(v graph.View) *graph.Graph {
@@ -43,6 +68,12 @@ func bindMaintainer(v graph.View) *graph.Graph {
 }
 
 // --- Clean.
+
+// maintain is handed write access by static type, as the incremental
+// maintainers are: calls through graph.Mutable are not reported.
+func maintain(g graph.Mutable) bool {
+	return g.InsertEdge(1, 2) && g.AddKeyword(2, "w")
+}
 
 // readOnly uses the View surface alone; nothing to report.
 func readOnly(v graph.View, q graph.VertexID) int {

@@ -1,12 +1,18 @@
-// Package viewpurity enforces the frozen read path's central promise (PR 4):
-// code that receives a graph.View treats it as immutable. It rejects type
-// assertions (and type-switch arms) from graph.View down to the mutable
-// *graph.Graph or the delta *graph.Overlay, and calls to the master graph's
-// mutating methods, everywhere except the packages entitled to hold the
-// master: the root acq package (which owns publication) and internal/graph
-// itself. Builders and maintainers that legitimately construct or repair a
-// master outside those packages mark each site with //acqvet:allow
-// viewpurity and a justification.
+// Package viewpurity enforces the frozen read path's central promise: code
+// that receives a graph.View treats it as immutable. It rejects type
+// assertions (and type-switch arms) from graph.View down to a writable form —
+// the builder's *graph.Graph, the writer's *graph.Master, the graph.Mutable
+// interface both satisfy — or to the delta *graph.Overlay, and calls to the
+// mutating methods of *graph.Graph and *graph.Master, everywhere except the
+// packages entitled to hold the master: the root acq package (which owns
+// publication) and internal/graph itself.
+//
+// Calls through a graph.Mutable are not reported: a Mutable is write access
+// handed out by static type (the incremental maintainers receive one), and
+// the only other way to obtain one — a downcast from a View — is. Code that
+// legitimately recovers or drives a writable graph outside the
+// master-owning packages marks each site with //acqvet:allow viewpurity and
+// a justification.
 package viewpurity
 
 import (
@@ -24,7 +30,7 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// mutators are the methods of *graph.Graph that change it in place.
+// mutators are the methods of *graph.Graph and *graph.Master that write.
 var mutators = map[string]bool{
 	"InsertEdge":    true,
 	"RemoveEdge":    true,
@@ -83,22 +89,26 @@ func isView(t types.Type) bool {
 	return isIface && named.Obj().Name() == "View"
 }
 
-// mutableGraphType reports whether t is *graph.Graph or *graph.Overlay and
-// names which.
-func mutableGraphType(t types.Type) (string, bool) {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return "", false
+// writable names the graph types a View must not be downcast to: the
+// concrete forms behind a pointer, and the Mutable interface itself.
+var writable = map[string]bool{"*Graph": true, "*Master": true, "*Overlay": true, "Mutable": true}
+
+// mutableGraphType reports whether t is one of the writable graph types and
+// names it, together with the graph package's import path.
+func mutableGraphType(t types.Type) (name, graphPkg string, ok bool) {
+	star := ""
+	if ptr, isPtr := t.(*types.Pointer); isPtr {
+		t, star = ptr.Elem(), "*"
 	}
-	gp := graphPkgPath(ptr.Elem())
+	gp := graphPkgPath(t)
 	if gp == "" {
-		return "", false
+		return "", "", false
 	}
-	name := ptr.Elem().(*types.Named).Obj().Name()
-	if name == "Graph" || name == "Overlay" {
-		return "graph." + name, true
+	name = star + t.(*types.Named).Obj().Name()
+	if !writable[name] {
+		return "", "", false
 	}
-	return "", false
+	return star + "graph." + t.(*types.Named).Obj().Name(), gp, true
 }
 
 // whitelisted reports whether the package under analysis is entitled to hold
@@ -117,15 +127,11 @@ func checkAssert(pass *analysis.Pass, x ast.Expr, target types.Type, pos token.P
 	if target == nil || !isView(pass.TypeOf(x)) {
 		return
 	}
-	name, mutable := mutableGraphType(target)
-	if !mutable {
+	name, gp, mutable := mutableGraphType(target)
+	if !mutable || whitelisted(pass, gp) {
 		return
 	}
-	gp := graphPkgPath(target.(*types.Pointer).Elem())
-	if whitelisted(pass, gp) {
-		return
-	}
-	pass.Reportf(pos, "type assertion from graph.View to mutable *%s outside a master-owning package", name)
+	pass.Reportf(pos, "type assertion from graph.View to mutable %s outside a master-owning package", name)
 }
 
 func checkTypeSwitch(pass *analysis.Pass, sw *ast.TypeSwitchStmt) {
@@ -170,11 +176,10 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		t = ptr.Elem()
 	}
 	gp := graphPkgPath(t)
-	if gp == "" || t.(*types.Named).Obj().Name() != "Graph" {
+	if gp == "" || whitelisted(pass, gp) {
 		return
 	}
-	if whitelisted(pass, gp) {
-		return
+	if recvName := t.(*types.Named).Obj().Name(); recvName == "Graph" || recvName == "Master" {
+		pass.Reportf(call.Pos(), "call to mutating graph.%s method %s outside a master-owning package", recvName, fn.Name())
 	}
-	pass.Reportf(call.Pos(), "call to mutating graph.Graph method %s outside a master-owning package", fn.Name())
 }

@@ -14,7 +14,17 @@ import "github.com/acq-search/acq/internal/graph"
 // Cloning a tree that carries posting overrides (RebindPostings) folds the
 // overrides into the copy's node arrays, so the result is always a plain
 // self-contained tree.
-func (t *Tree) Clone(g2 graph.View) *Tree {
+func (t *Tree) Clone(g2 graph.View) *Tree { return t.clone(g2, false) }
+
+// Fork is Clone for a tree a Maintainer will mutate while t stays immutable:
+// the node skeleton, vertex lists, core numbers and lookup tables are
+// copied, but each node keeps sharing t's postings until the maintainer's
+// first splice into that node copies them (Node.ownPostings). A fork is how
+// the writer gets its own tree from a loaded one without copying every
+// posting at boot.
+func (t *Tree) Fork(g2 graph.View) *Tree { return t.clone(g2, true) }
+
+func (t *Tree) clone(g2 graph.View, sharePostings bool) *Tree {
 	nt := &Tree{
 		g:         g2,
 		Core:      append([]int32(nil), t.Core...),
@@ -23,22 +33,29 @@ func (t *Tree) Clone(g2 graph.View) *Tree {
 		nodeCount: t.nodeCount,
 		scratch:   new(scratchPool),
 	}
-	nt.Root = nt.cloneNode(t, t.Root, nil)
+	nt.Root = nt.cloneNode(t, t.Root, nil, sharePostings)
 	return nt
 }
 
 // cloneNode deep-copies one node and its subtree of src, wiring parent
-// pointers and the new tree's NodeOf entries as it goes. Recursion depth is
-// the tree height, which is bounded by kmax+1.
-func (t *Tree) cloneNode(src *Tree, n *Node, parent *Node) *Node {
+// pointers and the new tree's NodeOf entries as it goes; with share, the
+// copies point at src's postings instead. Recursion depth is the tree
+// height, which is bounded by kmax+1.
+func (t *Tree) cloneNode(src *Tree, n *Node, parent *Node, share bool) *Node {
 	keys, off, post := src.postingsArrays(n)
 	c := &Node{
-		Core:     n.Core,
-		Vertices: append([]graph.VertexID(nil), n.Vertices...),
-		InvKeys:  append([]graph.KeywordID(nil), keys...),
-		InvOff:   append([]int32(nil), off...),
-		InvPost:  append([]graph.VertexID(nil), post...),
-		Parent:   parent,
+		Core:           n.Core,
+		Vertices:       append([]graph.VertexID(nil), n.Vertices...),
+		InvKeys:        keys,
+		InvOff:         off,
+		InvPost:        post,
+		Parent:         parent,
+		sharedPostings: share,
+	}
+	if !share {
+		c.InvKeys = append([]graph.KeywordID(nil), keys...)
+		c.InvOff = append([]int32(nil), off...)
+		c.InvPost = append([]graph.VertexID(nil), post...)
 	}
 	for _, v := range c.Vertices {
 		t.NodeOf[v] = c
@@ -46,7 +63,7 @@ func (t *Tree) cloneNode(src *Tree, n *Node, parent *Node) *Node {
 	if len(n.Children) > 0 {
 		c.Children = make([]*Node, len(n.Children))
 		for i, ch := range n.Children {
-			c.Children[i] = t.cloneNode(src, ch, c)
+			c.Children[i] = t.cloneNode(src, ch, c, share)
 		}
 	}
 	return c

@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -57,6 +58,9 @@ type Node struct {
 	Children []*Node
 	// Parent is nil for the root.
 	Parent *Node
+	// sharedPostings marks a Fork's node whose postings arrays still belong
+	// to the tree it was forked from.
+	sharedPostings bool
 }
 
 // Posting returns the sorted own vertices of n containing w, nil when no own
@@ -80,6 +84,7 @@ func (n *Node) Posting(w graph.KeywordID) []graph.VertexID {
 // republication that dwarfs it — while the flat form is what makes those
 // republications cheap.
 func (n *Node) insertPosting(w graph.KeywordID, v graph.VertexID) {
+	n.ownPostings()
 	i := sort.Search(len(n.InvKeys), func(i int) bool { return n.InvKeys[i] >= w })
 	if i == len(n.InvKeys) || n.InvKeys[i] != w {
 		n.InvKeys = append(n.InvKeys, 0)
@@ -103,9 +108,21 @@ func (n *Node) insertPosting(w graph.KeywordID, v graph.VertexID) {
 	}
 }
 
+// ownPostings gives a forked node private copies of the postings it still
+// shares, before the first splice writes them.
+func (n *Node) ownPostings() {
+	if n.sharedPostings {
+		n.InvKeys = slices.Clone(n.InvKeys)
+		n.InvOff = slices.Clone(n.InvOff)
+		n.InvPost = slices.Clone(n.InvPost)
+		n.sharedPostings = false
+	}
+}
+
 // removePosting erases the (w, v) pair, dropping the keyword entirely when
 // its posting empties. Used by the incremental maintainer.
 func (n *Node) removePosting(w graph.KeywordID, v graph.VertexID) {
+	n.ownPostings()
 	i := sort.Search(len(n.InvKeys), func(i int) bool { return n.InvKeys[i] >= w })
 	if i == len(n.InvKeys) || n.InvKeys[i] != w {
 		return

@@ -17,9 +17,9 @@ import (
 //     rebuilt.
 type Maintainer struct {
 	tree *Tree
-	// g is the mutable master the maintainer applies updates to: maintenance
+	// g is the mutable graph the maintainer applies updates to: maintenance
 	// is the one tree operation that cannot run on a frozen view.
-	g   *graph.Graph
+	g   graph.Mutable
 	kc  *kcore.Maintainer
 	ops *graph.SetOps
 	// structRev counts structural repairs (rebuildRegion runs): node set,
@@ -31,18 +31,20 @@ type Maintainer struct {
 }
 
 // NewMaintainer wraps an existing tree and its graph. The tree must have been
-// built for exactly this graph, in its mutable form — a tree bound to a
-// frozen snapshot view is immutable by construction and cannot be maintained.
+// built for (or cloned onto) exactly this graph, in a mutable form — a
+// *graph.Graph or the writer's *graph.Master; a tree bound to a frozen
+// snapshot view is immutable by construction and cannot be maintained. The
+// k-core maintainer starts from a private copy of the tree's core numbers.
 func NewMaintainer(t *Tree) *Maintainer {
-	//acqvet:allow viewpurity — maintainers must bind to the mutable master; the assertion is the documented precondition check
-	g, ok := t.g.(*graph.Graph)
+	//acqvet:allow viewpurity — maintainers must bind to the mutable graph their tree was built on; the assertion is the documented precondition check
+	g, ok := t.g.(graph.Mutable)
 	if !ok {
-		panic("core: NewMaintainer requires a tree built on a mutable *graph.Graph")
+		panic("core: NewMaintainer requires a tree bound to a mutable graph")
 	}
 	return &Maintainer{
 		tree: t,
 		g:    g,
-		kc:   kcore.NewMaintainer(g),
+		kc:   kcore.NewMaintainer(g, append([]int32(nil), t.Core...)),
 		ops:  graph.NewSetOps(g),
 	}
 }
@@ -59,7 +61,6 @@ func (m *Maintainer) StructRev() uint64 { return m.structRev }
 // AddKeyword attaches a keyword to v and splices it into the owning node's
 // flattened postings. It reports whether anything changed.
 func (m *Maintainer) AddKeyword(v graph.VertexID, word string) bool {
-	//acqvet:allow viewpurity — the maintainer is the designated writer for its master graph
 	if !m.g.AddKeyword(v, word) {
 		return false
 	}
@@ -71,7 +72,6 @@ func (m *Maintainer) AddKeyword(v graph.VertexID, word string) bool {
 // RemoveKeyword detaches a keyword from v and splices it out of the owning
 // node's flattened postings. It reports whether anything changed.
 func (m *Maintainer) RemoveKeyword(v graph.VertexID, word string) bool {
-	//acqvet:allow viewpurity — the maintainer is the designated writer for its master graph
 	if !m.g.RemoveKeyword(v, word) {
 		return false
 	}

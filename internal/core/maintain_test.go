@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"github.com/acq-search/acq/internal/graph"
+	"github.com/acq-search/acq/internal/kcore"
 	"github.com/acq-search/acq/internal/testutil"
 )
 
@@ -191,5 +192,41 @@ func TestMaintainerQueriesMatchRebuildQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMaintainerSeededCores: the k-core maintainer starts from the tree's own
+// core numbers instead of a fresh decomposition, so right after construction
+// and after every op of a seeded edge stream its cores — and the tree's —
+// must equal kcore.Decompose of the current graph. The stream runs on both
+// mutable forms: the builder's Graph and a Master over its frozen copy.
+func TestMaintainerSeededCores(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, form := range []string{"graph", "master"} {
+			rng := rand.New(rand.NewSource(seed))
+			n := 20 + rng.Intn(60)
+			var g graph.Mutable = testutil.RandomGraph(rng, n, 1+3*rng.Float64(), 8, 3)
+			if form == "master" {
+				g = graph.NewMaster(g.(*graph.Graph).Freeze(1))
+			}
+			tr := BuildAdvanced(g)
+			m := NewMaintainer(tr)
+			check := func(step int) {
+				want := kcore.Decompose(g)
+				if !reflect.DeepEqual(m.kc.Core(), want) || !reflect.DeepEqual(tr.Core, want) {
+					t.Fatalf("seed %d %s step %d: maintained cores differ from a fresh decomposition", seed, form, step)
+				}
+			}
+			check(-1)
+			for step := 0; step < 60; step++ {
+				u, v := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+				if rng.Intn(2) == 0 {
+					m.InsertEdge(u, v)
+				} else {
+					m.RemoveEdge(u, v)
+				}
+				check(step)
+			}
+		}
 	}
 }

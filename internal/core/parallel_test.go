@@ -147,7 +147,7 @@ func TestCloneOptsIdentical(t *testing.T) {
 	g := datagen.Generate(cfg.Scale(0.02))
 	tr := BuildAdvanced(g)
 	serial := tr.Clone(g.Clone())
-	par := tr.CloneOpts(g.CloneWorkers(4), BuildOptions{Workers: 4})
+	par := tr.CloneOpts(g.Clone(), BuildOptions{Workers: 4})
 	requireIdentical(t, "clone", serial, par)
 	if err := par.Validate(); err != nil {
 		t.Fatalf("parallel clone invalid: %v", err)

@@ -38,12 +38,11 @@ import (
 // treeVertOff int32[nodes+1], treeVerts int32[vertTotal] (tree sections empty
 // when no tree is stored).
 //
-// Mutation safety: the int32 array views alias the mapping, and the mutable
-// Graph assembled by Master splices rows in place on RemoveEdge/RemoveKeyword.
-// Mapped therefore takes TWO independent MAP_PRIVATE mappings of the file —
-// one read-only view backing Frozen/FrozenTree, one writable view backing
-// Master. In-place splices dirty private copy-on-write pages of the second
-// mapping without disturbing the first mapping or the file itself.
+// Mutation safety: the int32 array views alias one read-only MAP_PRIVATE
+// mapping, and nothing ever writes through them. The writer's master
+// (graph.Master) overlays private heap rows on the mapped Frozen, and the
+// maintained CL-tree is a heap clone of the mapped one, so writes never touch
+// the mapping or the file.
 
 // MappedMagic opens every mapped snapshot container; loaders sniff it to
 // tell a snapshot file from a text graph.
@@ -224,18 +223,16 @@ func keywordIDsAsInt32(xs []graph.KeywordID) []int32 {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&xs[0])), len(xs))
 }
 
-// Mapped is an open mapped snapshot: two private views of one file, a
-// read-only one backing the zero-copy Frozen and a writable copy-on-write one
-// backing the mutable master. Everything returned by its methods aliases the
-// mappings — the Mapped must outlive all of it, and Close may only be called
-// once nothing derived from it can be read again (in a serving process the
-// mapping simply lives until exit; the pages are file-backed and evictable,
-// so keeping it costs address space, not memory).
+// Mapped is an open mapped snapshot: one read-only private view of the file
+// backing the zero-copy Frozen and its tree. Everything returned by its
+// methods aliases the mapping — the Mapped must outlive all of it, and Close
+// may only be called once nothing derived from it can be read again (in a
+// serving process the mapping simply lives until exit; the pages are
+// file-backed and evictable, so keeping it costs address space, not memory).
 type Mapped struct {
 	path         string
-	ro, rw       []byte
-	unmapRO      func() error
-	unmapRW      func() error
+	ro           []byte
+	unmap        func() error
 	zeroCopy     bool
 	graphVersion uint64
 	n, m         int
@@ -249,9 +246,8 @@ type Mapped struct {
 var ErrNotMapped = errors.New("dataio: not a mapped snapshot")
 
 // OpenMapped opens a mapped snapshot container. On unix little-endian hosts
-// the file is memory-mapped (two private mappings); elsewhere it is read onto
-// the heap with the same API and semantics, just without the zero-copy
-// property.
+// the file is memory-mapped; elsewhere it is read onto the heap with the same
+// API and semantics, just without the zero-copy property.
 func OpenMapped(path string) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -265,24 +261,15 @@ func OpenMapped(path string) (*Mapped, error) {
 	size := fi.Size()
 	m := &Mapped{path: path, zeroCopy: mmapSupported && hostLittle}
 	if m.zeroCopy {
-		m.ro, m.unmapRO, err = mapFile(f, size, false)
-		if err == nil {
-			m.rw, m.unmapRW, err = mapFile(f, size, true)
-			if err != nil {
-				m.unmapRO()
-			}
-		}
-		if err != nil {
+		if m.ro, m.unmap, err = mapFile(f, size); err != nil {
 			// Some filesystems refuse mmap; degrade to the heap path.
 			m.zeroCopy = false
 		}
 	}
 	if !m.zeroCopy {
-		m.ro, err = readAligned(f, size)
-		if err != nil {
+		if m.ro, err = readAligned(f, size); err != nil {
 			return nil, err
 		}
-		m.rw = append(alignedBuf(int(size)), m.ro...)
 	}
 	if err := m.parseHeader(); err != nil {
 		m.Close()
@@ -311,22 +298,19 @@ func PeekMappedVersion(r io.ReaderAt) (uint64, error) {
 }
 
 // ReadMapped reads a mapped snapshot container from r onto the heap and
-// assembles its mutable master graph plus CL-tree (nil when none is stored),
-// exactly as Master does for an opened file. Both are fully validated, so a
-// corrupt or truncated input fails here. The graph version stamp is not
-// returned.
-func ReadMapped(r io.Reader) (*graph.Graph, *core.Tree, error) {
+// assembles its frozen graph plus CL-tree (nil when none is stored), exactly
+// as Load does for an opened file. Both are fully validated, so a corrupt or
+// truncated input fails here. The graph version stamp is not returned.
+func ReadMapped(r io.Reader) (*graph.Frozen, *core.Tree, error) {
 	buf, err := readAligned(r, 0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dataio: reading mapped snapshot: %w", err)
 	}
-	// Nothing else aliases the buffer, so the master owns it outright and the
-	// read-only and writable views can be the same bytes.
-	m := &Mapped{path: "input", ro: buf, rw: buf}
+	m := &Mapped{path: "input", ro: buf}
 	if err := m.parseHeader(); err != nil {
 		return nil, nil, err
 	}
-	return m.Master()
+	return m.Load()
 }
 
 // readAligned reads r to EOF into an 8-byte-aligned heap buffer. size
@@ -435,15 +419,15 @@ func (m *Mapped) ZeroCopy() bool { return m.zeroCopy }
 // SizeBytes returns the container file size.
 func (m *Mapped) SizeBytes() int { return len(m.ro) }
 
-// section returns the raw bytes of section i from buffer buf.
-func (m *Mapped) section(buf []byte, i int) []byte {
-	return buf[m.secOff[i] : m.secOff[i]+m.secLen[i]]
+// section returns the raw bytes of section i.
+func (m *Mapped) section(i int) []byte {
+	return m.ro[m.secOff[i] : m.secOff[i]+m.secLen[i]]
 }
 
-// int32s views section i of buf as []int32 — zero-copy on little-endian
-// hosts, decoded otherwise.
-func (m *Mapped) int32s(buf []byte, i int) []int32 {
-	b := m.section(buf, i)
+// int32s views section i as []int32 — zero-copy on little-endian hosts,
+// decoded otherwise.
+func (m *Mapped) int32s(i int) []int32 {
+	b := m.section(i)
 	if len(b) == 0 {
 		return nil
 	}
@@ -457,16 +441,16 @@ func (m *Mapped) int32s(buf []byte, i int) []int32 {
 	return out
 }
 
-func (m *Mapped) vertexIDs(buf []byte, i int) []graph.VertexID {
-	xs := m.int32s(buf, i)
+func (m *Mapped) vertexIDs(i int) []graph.VertexID {
+	xs := m.int32s(i)
 	if len(xs) == 0 {
 		return nil
 	}
 	return unsafe.Slice((*graph.VertexID)(unsafe.Pointer(&xs[0])), len(xs))
 }
 
-func (m *Mapped) keywordIDs(buf []byte, i int) []graph.KeywordID {
-	xs := m.int32s(buf, i)
+func (m *Mapped) keywordIDs(i int) []graph.KeywordID {
+	xs := m.int32s(i)
 	if len(xs) == 0 {
 		return nil
 	}
@@ -476,8 +460,8 @@ func (m *Mapped) keywordIDs(buf []byte, i int) []graph.KeywordID {
 // strings decodes the (offsets, blob) string table at sections offSec/blobSec.
 // The returned strings are heap copies: they stay valid after Close.
 func (m *Mapped) strings(offSec, blobSec int) ([]string, error) {
-	offs := m.int32s(m.ro, offSec)
-	blob := m.section(m.ro, blobSec)
+	offs := m.int32s(offSec)
+	blob := m.section(blobSec)
 	out := make([]string, len(offs)-1)
 	for i := range out {
 		lo, hi := offs[i], offs[i+1]
@@ -489,10 +473,23 @@ func (m *Mapped) strings(offSec, blobSec int) ([]string, error) {
 	return out, nil
 }
 
-// Frozen assembles the zero-copy immutable serving graph over the read-only
-// view. validate runs the full CSR Validate — skip it only when the same
-// file's Master already validated in this process.
-func (m *Mapped) Frozen(validate bool) (*graph.Frozen, error) {
+// Load assembles the zero-copy frozen graph and, when one is stored, its
+// CL-tree over it (nil otherwise). The graph is fully validated.
+func (m *Mapped) Load() (*graph.Frozen, *core.Tree, error) {
+	fz, err := m.Frozen()
+	if err != nil || !m.HasTree() {
+		return fz, nil, err
+	}
+	t, err := m.Tree(fz)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fz, t, nil
+}
+
+// Frozen assembles the zero-copy immutable graph over the mapping and runs
+// the full CSR Validate on it.
+func (m *Mapped) Frozen() (*graph.Frozen, error) {
 	labels, err := m.strings(secLabelOff, secLabelBytes)
 	if err != nil {
 		return nil, err
@@ -502,8 +499,8 @@ func (m *Mapped) Frozen(validate bool) (*graph.Frozen, error) {
 		return nil, err
 	}
 	f, err := graph.NewFrozenFromFlat(labels, words,
-		m.int32s(m.ro, secKwOff), m.keywordIDs(m.ro, secKw),
-		m.int32s(m.ro, secAdjOff), m.vertexIDs(m.ro, secAdj), validate)
+		m.int32s(secKwOff), m.keywordIDs(secKw),
+		m.int32s(secAdjOff), m.vertexIDs(secAdj))
 	if err != nil {
 		return nil, fmt.Errorf("dataio: %s: %w", m.path, err)
 	}
@@ -513,54 +510,18 @@ func (m *Mapped) Frozen(validate bool) (*graph.Frozen, error) {
 	return f, nil
 }
 
-// Master assembles the mutable master graph over the writable copy-on-write
-// view, plus its CL-tree if one is stored (nil otherwise). Row splices and
-// appends behave exactly as on a heap-built graph: the first mutation of a
-// row either reallocates it or dirties a private page — the file is never
-// written. The graph is fully validated.
-func (m *Mapped) Master() (*graph.Graph, *core.Tree, error) {
-	labels, err := m.strings(secLabelOff, secLabelBytes)
-	if err != nil {
-		return nil, nil, err
-	}
-	words, err := m.strings(secWordOff, secWordBytes)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := graph.FromFlat(labels, words,
-		m.int32s(m.rw, secKwOff), m.keywordIDs(m.rw, secKw),
-		m.int32s(m.rw, secAdjOff), m.vertexIDs(m.rw, secAdj))
-	if err != nil {
-		return nil, nil, fmt.Errorf("dataio: %s: %w", m.path, err)
-	}
-	if !m.HasTree() {
-		return g, nil, nil
-	}
-	t, err := m.Tree(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, t, nil
-}
-
-// Tree rehydrates the stored CL-tree over view v (the zero-copy Frozen for a
-// serving tree, the Master graph for the maintainer's tree). Node vertex
-// lists alias the buffer v came from; the inverted postings are rebuilt on
-// the heap by Rehydrate. Returns an error if no tree is stored.
+// Tree rehydrates the stored CL-tree over v, the graph Frozen returned. Node
+// vertex lists alias the mapping; the inverted postings are rebuilt on the
+// heap by Rehydrate. Returns an error if no tree is stored.
 func (m *Mapped) Tree(v graph.View) (*core.Tree, error) {
 	if !m.HasTree() {
 		return nil, fmt.Errorf("dataio: %s: mapped snapshot stores no CL-tree", m.path)
 	}
-	buf := m.ro
-	//acqvet:allow viewpurity — read-only capability probe: mutable masters get the writable mapping, no mutation here
-	if _, mutable := v.(*graph.Graph); mutable {
-		buf = m.rw
-	}
 	ft := &FlatTree{
-		Core:    m.int32s(buf, secTreeCore),
-		Parent:  m.int32s(buf, secTreeParent),
-		VertOff: m.int32s(buf, secTreeVertOff),
-		Verts:   m.vertexIDs(buf, secTreeVerts),
+		Core:    m.int32s(secTreeCore),
+		Parent:  m.int32s(secTreeParent),
+		VertOff: m.int32s(secTreeVertOff),
+		Verts:   m.vertexIDs(secTreeVerts),
 	}
 	t, err := unflattenTree(v, ft)
 	if err != nil {
@@ -569,21 +530,15 @@ func (m *Mapped) Tree(v graph.View) (*core.Tree, error) {
 	return t, nil
 }
 
-// Close releases the mappings. Everything previously returned by Frozen,
-// Master or Tree becomes invalid — callers in a serving process should keep
-// the Mapped open for the process lifetime instead.
+// Close releases the mapping. Everything previously returned by Load, Frozen
+// or Tree becomes invalid — callers in a serving process should keep the
+// Mapped open for the process lifetime instead.
 func (m *Mapped) Close() error {
 	var err error
-	if m.unmapRO != nil {
-		err = m.unmapRO()
-		m.unmapRO = nil
+	if m.unmap != nil {
+		err = m.unmap()
+		m.unmap = nil
 	}
-	if m.unmapRW != nil {
-		if e := m.unmapRW(); err == nil {
-			err = e
-		}
-		m.unmapRW = nil
-	}
-	m.ro, m.rw = nil, nil
+	m.ro = nil
 	return err
 }

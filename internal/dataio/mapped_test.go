@@ -74,7 +74,7 @@ func TestMappedRoundTrip(t *testing.T) {
 			t.Fatalf("iteration %d: tree lost", i)
 		}
 
-		got, err := m.Frozen(true)
+		got, err := m.Frozen()
 		if err != nil {
 			t.Fatalf("iteration %d: frozen: %v", i, err)
 		}
@@ -90,78 +90,16 @@ func TestMappedRoundTrip(t *testing.T) {
 			t.Fatalf("iteration %d: tree shape moved", i)
 		}
 
-		master, mtr, err := m.Master()
+		lf, ltr, err := m.Load()
 		if err != nil {
-			t.Fatalf("iteration %d: master: %v", i, err)
+			t.Fatalf("iteration %d: load: %v", i, err)
 		}
-		frozenEqual(t, fz, master)
-		if mtr == nil {
-			t.Fatalf("iteration %d: master tree lost", i)
-		}
-		if err := mtr.Validate(); err != nil {
-			t.Fatalf("iteration %d: master tree invalid: %v", i, err)
+		frozenEqual(t, fz, lf)
+		if ltr == nil || ltr.Validate() != nil {
+			t.Fatalf("iteration %d: loaded tree lost or invalid", i)
 		}
 		m.Close()
 	}
-}
-
-// TestMappedMasterMutationIsolation: the mutable master and the zero-copy
-// frozen view alias two private mappings of one file. In-place row splices on
-// the master (RemoveEdge shrinks a row where appends would reallocate it)
-// must not leak into the frozen view or the file.
-func TestMappedMasterMutationIsolation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := testutil.RandomGraph(rng, 50, 4, 8, 3)
-	fz := g.Freeze(1)
-	path := writeMappedFile(t, fz, nil, 7)
-
-	m, err := OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	frozen, err := m.Frozen(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	master, _, err := m.Master()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Splice every edge out of the master, in place.
-	removed := 0
-	for v := 0; v < master.NumVertices(); v++ {
-		id := graph.VertexID(v)
-		for _, u := range append([]graph.VertexID{}, master.Neighbors(id)...) {
-			if u > id && master.RemoveEdge(id, u) {
-				removed++
-			}
-		}
-	}
-	if removed != fz.NumEdges() {
-		t.Fatalf("removed %d edges, want %d", removed, fz.NumEdges())
-	}
-	if master.NumEdges() != 0 {
-		t.Fatalf("master still has %d edges", master.NumEdges())
-	}
-
-	// The frozen view must be byte-for-byte untouched...
-	frozenEqual(t, fz, frozen)
-	if err := frozen.Validate(); err != nil {
-		t.Fatalf("frozen view corrupted by master mutations: %v", err)
-	}
-	// ...and so must the file.
-	m2, err := OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	reread, err := m2.Frozen(true)
-	if err != nil {
-		t.Fatalf("file corrupted by master mutations: %v", err)
-	}
-	frozenEqual(t, fz, reread)
 }
 
 // TestMappedCopyingAndZeroCopyIdentical: the same file loaded through the
@@ -192,16 +130,16 @@ func TestMappedCopyingAndZeroCopyIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap := &Mapped{path: path, ro: ro, rw: append(alignedBuf(len(ro)), ro...)}
+	heap := &Mapped{path: path, ro: ro}
 	if err := heap.parseHeader(); err != nil {
 		t.Fatal(err)
 	}
 
-	a, err := mm.Frozen(true)
+	a, err := mm.Frozen()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := heap.Frozen(true)
+	b, err := heap.Frozen()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,16 +219,16 @@ func TestCommittedFixtureRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heap := &Mapped{path: fixturePath, ro: ro, rw: append(alignedBuf(len(ro)), ro...)}
+	heap := &Mapped{path: fixturePath, ro: ro}
 	if err := heap.parseHeader(); err != nil {
 		t.Fatal(err)
 	}
 
-	a, err := mm.Frozen(true)
+	a, err := mm.Frozen()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := heap.Frozen(true)
+	b, err := heap.Frozen()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,8 +285,8 @@ func TestOpenMappedRejectsGarbage(t *testing.T) {
 }
 
 // TestFrozenSnapshotRoundTrip is the internal Freeze → WriteMapped →
-// ReadMapped → Validate loop on random graphs: the reloaded mutable graph
-// plus rehydrated tree must validate and match the original structure.
+// ReadMapped → Validate loop on random graphs: the reloaded frozen graph plus
+// rehydrated tree must validate and match the original structure.
 func TestFrozenSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 8; i++ {
@@ -381,7 +319,7 @@ func TestFrozenSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestFrozenAndMutableSnapshotsIdentical: the container is canonical. A
-// mutable master loaded back with ReadMapped, frozen and written again,
+// mutable graph's snapshot, loaded back with ReadMapped and written again,
 // reproduces the original file byte for byte.
 func TestFrozenAndMutableSnapshotsIdentical(t *testing.T) {
 	g := testutil.RandomGraph(rand.New(rand.NewSource(7)), 60, 3, 10, 3)
@@ -390,15 +328,15 @@ func TestFrozenAndMutableSnapshotsIdentical(t *testing.T) {
 	if err := WriteMapped(&first, g.Freeze(1), FlattenTree(tr), 9); err != nil {
 		t.Fatal(err)
 	}
-	master, mtr, err := ReadMapped(bytes.NewReader(first.Bytes()))
+	fz, ftr, err := ReadMapped(bytes.NewReader(first.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMapped(&second, master.Freeze(1), FlattenTree(mtr), 9); err != nil {
+	if err := WriteMapped(&second, fz, FlattenTree(ftr), 9); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatal("re-serialising the reloaded master changed the container bytes")
+		t.Fatal("re-serialising the reloaded snapshot changed the container bytes")
 	}
 }
 
@@ -447,7 +385,8 @@ func TestReadMappedRejectsNegativeTreeOffset(t *testing.T) {
 
 // FuzzReadMapped feeds arbitrary bytes to the stream loader behind
 // acq.LoadSnapshot, which parses whatever file a user passes as -in. It must
-// never panic, and any input it accepts must yield a valid graph.
+// never panic, and any input it accepts must yield a Frozen that passes
+// Validate.
 func FuzzReadMapped(f *testing.F) {
 	tiny, err := os.ReadFile(fixturePath)
 	if err != nil {

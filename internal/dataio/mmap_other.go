@@ -9,6 +9,6 @@ import (
 
 const mmapSupported = false
 
-func mapFile(f *os.File, size int64, writable bool) ([]byte, func() error, error) {
+func mapFile(f *os.File, size int64) ([]byte, func() error, error) {
 	return nil, nil, errors.New("dataio: mmap unsupported on this platform")
 }

@@ -9,15 +9,9 @@ import (
 
 const mmapSupported = true
 
-// mapFile maps the whole file privately. writable selects PROT_WRITE; with
-// MAP_PRIVATE the writes land in copy-on-write pages, never in the file, so
-// two mappings of one file are fully independent.
-func mapFile(f *os.File, size int64, writable bool) ([]byte, func() error, error) {
-	prot := syscall.PROT_READ
-	if writable {
-		prot |= syscall.PROT_WRITE
-	}
-	b, err := syscall.Mmap(int(f.Fd()), 0, int(size), prot, syscall.MAP_PRIVATE)
+// mapFile maps the whole file read-only and private.
+func mapFile(f *os.File, size int64) ([]byte, func() error, error) {
+	b, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_PRIVATE)
 	if err != nil {
 		return nil, nil, err
 	}

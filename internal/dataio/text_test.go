@@ -16,7 +16,7 @@ import (
 
 // textName is the name WriteText gives v: its label, or "_<v>" if it has
 // none.
-func textName(g *graph.Graph, v graph.VertexID) string {
+func textName(g graph.View, v graph.VertexID) string {
 	if label := g.Label(v); label != "" {
 		return label
 	}
@@ -26,7 +26,7 @@ func textName(g *graph.Graph, v graph.VertexID) string {
 // sameGraph describes the first difference between a and b — edge count,
 // dictionary order, adjacency, keyword IDs or names (textName) — or returns
 // "" when there is none.
-func sameGraph(a, b *graph.Graph) string {
+func sameGraph(a, b graph.View) string {
 	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
 		return fmt.Sprintf("size %d/%d, want %d/%d", b.NumVertices(), b.NumEdges(), a.NumVertices(), a.NumEdges())
 	}

@@ -110,8 +110,7 @@ func (b *Builder) ensure(label string) VertexID {
 // The adjacency is one backing array: Build counts degrees, scatters every
 // non-loop edge into its two rows, sorts and deduplicates each row in place,
 // and packs the rows left so that the offsets are tight. The Graph's rows are
-// capacity-clipped windows of that array and of the keyword array, exactly as
-// FromFlat cuts them.
+// capacity-clipped windows of that array and of the keyword array.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.labels)
 	if b.dup != "" {

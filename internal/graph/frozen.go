@@ -21,8 +21,8 @@ import (
 //
 // A Frozen is safe for unlimited concurrent readers: nothing it references is
 // ever mutated after Freeze returns. It intentionally has no mutators —
-// updates are applied to the mutable master and republished by freezing
-// again.
+// updates land in a Master overlaid on it, and compaction folds them into a
+// fresh Frozen.
 type Frozen struct {
 	adjOff []int32 // len NumVertices+1; adjacency of v is adj[adjOff[v]:adjOff[v+1]]
 	adj    []VertexID
@@ -40,30 +40,14 @@ type Frozen struct {
 //
 // The label table and the label→vertex index are shared with g (no Graph
 // mutator touches them after construction); the keyword dictionary is copied,
-// because mutators intern new words. Freeze is the snapshot-publication
-// primitive: the frozen copy costs O(n+m) sequential copying but only a
-// handful of allocations, where the old deep clone allocated two slices per
-// vertex.
-func (g *Graph) Freeze(workers int) *Frozen { return g.FreezeReuse(workers, nil) }
-
-// FreezeReuse is Freeze with one extra fast path: when prev is a frozen copy
-// of this graph whose dictionary has not grown since (the dictionary is
-// append-only, so equal sizes imply equal contents), prev's dictionary copy
-// is shared instead of cloned again. Republication under edge churn — the
-// serving steady state, where no new keyword is ever interned — then
-// allocates nothing proportional to the vocabulary either.
-func (g *Graph) FreezeReuse(workers int, prev *Frozen) *Frozen {
+// because mutators intern new words. A text or synthetic boot freezes the
+// builder output once and serves and writes over the Frozen from then on.
+func (g *Graph) Freeze(workers int) *Frozen {
 	n := len(g.adj)
-	dict := (*Dict)(nil)
-	if prev != nil && prev.dict.Size() == g.dict.Size() {
-		dict = prev.dict
-	} else {
-		dict = g.dict.Clone()
-	}
 	f := &Frozen{
 		adjOff: make([]int32, n+1),
 		kwOff:  make([]int32, n+1),
-		dict:   dict,
+		dict:   g.dict.Clone(),
 		labels: g.labels,
 		byName: g.byName,
 		m:      g.m,
@@ -279,11 +263,9 @@ func validateOffsets(what string, off []int32, total int) error {
 // mapping nothing else mutates, for heap arrays it means ownership transfer.
 // A fresh dictionary and the label→vertex index are built here (they are
 // O(vocabulary) and O(n) — the n+m payload is what stays unmaterialised).
-//
-// validate runs the full representation Validate; callers loading an
-// untrusted or possibly-corrupt file should pass true, callers re-wrapping
-// arrays already validated in this process may skip it.
-func NewFrozenFromFlat(labels, words []string, kwOff []int32, kw []KeywordID, adjOff []int32, adj []VertexID, validate bool) (*Frozen, error) {
+// The result passes the full representation Validate, so a corrupt file
+// fails here instead of corrupting queries later.
+func NewFrozenFromFlat(labels, words []string, kwOff []int32, kw []KeywordID, adjOff []int32, adj []VertexID) (*Frozen, error) {
 	if len(adjOff) == 0 || len(adjOff) != len(kwOff) {
 		return nil, fmt.Errorf("graph: NewFrozenFromFlat: offset arrays disagree (%d vs %d)", len(adjOff), len(kwOff))
 	}
@@ -323,68 +305,8 @@ func NewFrozenFromFlat(labels, words []string, kwOff []int32, kw []KeywordID, ad
 		byName: byName,
 		m:      len(adj) / 2,
 	}
-	if validate {
-		if err := f.Validate(); err != nil {
-			return nil, err
-		}
+	if err := f.Validate(); err != nil {
+		return nil, err
 	}
 	return f, nil
-}
-
-// FromFlat assembles a mutable Graph from flat CSR arrays — the inverse of
-// Freeze, used when loading a binary snapshot. It takes ownership of every
-// argument slice. Labels and words may be shorter than implied (missing
-// entries mean unlabelled / empty); duplicate non-empty labels and duplicate
-// dictionary words are errors, as is any violation of the representation
-// invariants (checked via Validate, so corrupt files fail loudly instead of
-// corrupting queries later).
-//
-// The per-vertex adjacency and keyword slices alias the flat arrays with
-// their capacity clipped to the row boundary, so the assembled graph still
-// costs O(1) payload allocations; the first mutation of a row reallocates
-// just that row.
-func FromFlat(labels, words []string, kwOff []int32, kw []KeywordID, adjOff []int32, adj []VertexID) (*Graph, error) {
-	if len(adjOff) == 0 || len(adjOff) != len(kwOff) {
-		return nil, fmt.Errorf("graph: FromFlat: offset arrays disagree (%d vs %d)", len(adjOff), len(kwOff))
-	}
-	n := len(adjOff) - 1
-	if len(labels) > n {
-		return nil, fmt.Errorf("graph: FromFlat: %d labels for %d vertices", len(labels), n)
-	}
-	if err := validateOffsets("adjacency", adjOff, len(adj)); err != nil {
-		return nil, err
-	}
-	if err := validateOffsets("keyword", kwOff, len(kw)); err != nil {
-		return nil, err
-	}
-	dict := NewDict()
-	for i, w := range words {
-		if id := dict.Intern(w); int(id) != i {
-			return nil, fmt.Errorf("graph: FromFlat: duplicate dictionary word %q", w)
-		}
-	}
-	g := &Graph{
-		adj:    windows(adj, adjOff),
-		kw:     windows(kw, kwOff),
-		dict:   dict,
-		labels: append(labels, make([]string, n-len(labels))...),
-		byName: make(map[string]VertexID, n),
-		m:      len(adj) / 2,
-	}
-	for v, label := range g.labels {
-		if label == "" {
-			continue
-		}
-		if _, dup := g.byName[label]; dup {
-			return nil, fmt.Errorf("graph: FromFlat: duplicate vertex label %q", label)
-		}
-		g.byName[label] = VertexID(v)
-	}
-	if len(adj)%2 != 0 {
-		return nil, fmt.Errorf("graph: FromFlat: odd adjacency total %d", len(adj))
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
 }

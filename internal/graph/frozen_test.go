@@ -162,29 +162,6 @@ func TestFrozenIsolation(t *testing.T) {
 	}
 }
 
-// TestFreezeReuseSharesDict: republication without dictionary growth shares
-// the previous frozen dictionary; interning a new word forces a fresh clone.
-func TestFreezeReuseSharesDict(t *testing.T) {
-	g := buildTestGraph(t)
-	f1 := g.Freeze(1)
-	f2 := g.FreezeReuse(1, f1)
-	if f2.Dict() != f1.Dict() {
-		t.Fatal("FreezeReuse cloned the dictionary although it had not grown")
-	}
-	g.AddKeyword(0, "grown")
-	f3 := g.FreezeReuse(1, f2)
-	if f3.Dict() == f2.Dict() {
-		t.Fatal("FreezeReuse shared a stale dictionary after growth")
-	}
-	if _, ok := f3.Dict().Lookup("grown"); !ok {
-		t.Fatal("new frozen dictionary misses the interned word")
-	}
-	if _, ok := f2.Dict().Lookup("grown"); ok {
-		t.Fatal("old frozen dictionary absorbed the interned word")
-	}
-	requireSameView(t, "after-growth", g, f3)
-}
-
 // TestFrozenSizeBytes pins the CSR payload accounting: 4 bytes per offset
 // entry and per payload element.
 func TestFrozenSizeBytes(t *testing.T) {
@@ -201,9 +178,8 @@ func TestFrozenSizeBytes(t *testing.T) {
 	}
 }
 
-// TestFromFlatRoundTrip: Freeze → Flat → FromFlat must reproduce the graph,
-// and the assembled graph must stay mutable without corrupting its shared
-// backing arrays (the three-index-slice contract).
+// TestFromFlatRoundTrip: Freeze → Flat → NewFrozenFromFlat must reproduce
+// the graph, labels, dictionary and edge count included.
 func TestFromFlatRoundTrip(t *testing.T) {
 	g := buildTestGraph(t)
 	f := g.Freeze(1)
@@ -212,31 +188,20 @@ func TestFromFlatRoundTrip(t *testing.T) {
 	for v := range labels {
 		labels[v] = g.Label(VertexID(v))
 	}
-	g2, err := FromFlat(labels, f.Dict().Words(),
+	f2, err := NewFrozenFromFlat(labels, f.Dict().Words(),
 		append([]int32(nil), kwOff...), append([]KeywordID(nil), kw...),
 		append([]int32(nil), adjOff...), append([]VertexID(nil), adj...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameView(t, "from-flat", g, g2)
-
-	// Mutate one vertex's rows: neighbours of other vertices must not move.
-	before := append([]VertexID(nil), g2.Neighbors(1)...)
-	if !g2.InsertEdge(0, 4) {
-		t.Fatal("InsertEdge refused a new edge")
-	}
-	if !g2.AddKeyword(0, "fresh") {
-		t.Fatal("AddKeyword refused a new keyword")
-	}
-	if !reflect.DeepEqual(before, g2.Neighbors(1)) {
-		t.Fatalf("mutating vertex 0 corrupted vertex 1's row: %v -> %v", before, g2.Neighbors(1))
-	}
-	if err := g2.Validate(); err != nil {
-		t.Fatal(err)
+	requireSameView(t, "from-flat", g, f2)
+	if v, ok := f2.VertexByLabel("e"); !ok || v != 4 {
+		t.Fatalf("label index lost: %d %v", v, ok)
 	}
 }
 
-// TestFromFlatRejectsCorrupt: malformed flat arrays must fail loudly.
+// TestFromFlatRejectsCorrupt: malformed flat arrays must fail loudly in
+// NewFrozenFromFlat.
 func TestFromFlatRejectsCorrupt(t *testing.T) {
 	g := buildTestGraph(t)
 	f := g.Freeze(1)
@@ -247,26 +212,30 @@ func TestFromFlatRejectsCorrupt(t *testing.T) {
 			append([]int32(nil), kwOff...), append([]KeywordID(nil), kw...)
 	}
 	words := f.Dict().Words()
+	load := func(words []string, ko []int32, kws []KeywordID, ao []int32, ad []VertexID) error {
+		_, err := NewFrozenFromFlat(labels, words, ko, kws, ao, ad)
+		return err
+	}
 
 	ao, ad, ko, kws := cp()
 	ad[0] = VertexID(g.NumVertices()) // out-of-range neighbour
-	if _, err := FromFlat(labels, words, ko, kws, ao, ad); err == nil {
+	if load(words, ko, kws, ao, ad) == nil {
 		t.Fatal("out-of-range neighbour accepted")
 	}
 	ao, ad, ko, kws = cp()
 	ao[1] = ao[2] + 1 // non-monotone offsets
-	if _, err := FromFlat(labels, words, ko, kws, ao, ad); err == nil {
+	if load(words, ko, kws, ao, ad) == nil {
 		t.Fatal("non-monotone offsets accepted")
 	}
 	ao, ad, ko, kws = cp()
 	if len(kws) > 0 {
 		kws[0] = KeywordID(len(words)) // out-of-range keyword
-		if _, err := FromFlat(labels, words, ko, kws, ao, ad); err == nil {
+		if load(words, ko, kws, ao, ad) == nil {
 			t.Fatal("out-of-range keyword accepted")
 		}
 	}
 	ao, ad, ko, kws = cp()
-	if _, err := FromFlat(labels, append(words[:len(words):len(words)], words[0]), ko, kws, ao, ad); err == nil {
+	if load(append(words[:len(words):len(words)], words[0]), ko, kws, ao, ad) == nil {
 		t.Fatal("duplicate dictionary word accepted")
 	}
 }

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"github.com/acq-search/acq/internal/para"
 )
 
 // VertexID identifies a vertex. IDs are dense: 0..NumVertices-1.
@@ -178,15 +176,9 @@ func (g *Graph) RemoveKeyword(v VertexID, word string) bool {
 
 // Clone returns a deep copy of g: adjacency, keyword sets, labels, the
 // label index and the keyword dictionary are all duplicated, so mutating
-// either graph never affects the other. Nothing is shared and nothing is
-// copy-on-write; for a cheap immutable read-only copy use Freeze instead.
-func (g *Graph) Clone() *Graph { return g.CloneWorkers(1) }
-
-// CloneWorkers is Clone with the per-vertex adjacency and keyword copying
-// fanned out over workers goroutines (≤ 0 means one per CPU, 1 runs inline).
-// The copy is identical for any worker count; the snapshot-publication path
-// uses it so copy-on-write republication scales with the cores available.
-func (g *Graph) CloneWorkers(workers int) *Graph {
+// either graph never affects the other. For an immutable read-only copy use
+// Freeze instead.
+func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		adj:    make([][]VertexID, len(g.adj)),
 		kw:     make([][]KeywordID, len(g.kw)),
@@ -195,16 +187,10 @@ func (g *Graph) CloneWorkers(workers int) *Graph {
 		byName: make(map[string]VertexID, len(g.byName)),
 		m:      g.m,
 	}
-	para.ForEachChunk(workers, len(g.adj), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c.adj[i] = append([]VertexID(nil), g.adj[i]...)
-		}
-	})
-	para.ForEachChunk(workers, len(g.kw), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c.kw[i] = append([]KeywordID(nil), g.kw[i]...)
-		}
-	})
+	for i := range g.adj {
+		c.adj[i] = append([]VertexID(nil), g.adj[i]...)
+		c.kw[i] = append([]KeywordID(nil), g.kw[i]...)
+	}
 	for k, v := range g.byName {
 		c.byName[k] = v
 	}

@@ -6,24 +6,24 @@ import (
 	"github.com/acq-search/acq/internal/para"
 )
 
-// Overlay is the third View implementation: a small mutable delta merged over
-// an immutable Frozen base. It is the publication form of the LSM-style write
-// path — effective mutations override single per-vertex rows instead of
-// re-freezing the whole graph, so publishing a serving snapshot after a write
-// costs O(delta + n/8) (two int32 index arrays plus the changed rows) rather
-// than O(n+m).
+// Overlay is a small delta of row overrides merged over an immutable Frozen
+// base. It is the publication form of the LSM-style write path — effective
+// mutations override single per-vertex rows instead of re-freezing the whole
+// graph, so publishing a serving snapshot after a write costs O(delta + n/8)
+// (two int32 index arrays plus the changed rows) rather than O(n+m).
 //
 // The representation is a row-override table: adjIdx[v] ≥ 0 means vertex v's
-// adjacency is adjRows[adjIdx[v]] (a private sorted copy taken when v was
-// first dirtied); -1 means the row is unchanged and reads fall through to the
+// adjacency is adjRows[adjIdx[v]] (a private sorted row written when v was
+// last dirtied); -1 means the row is unchanged and reads fall through to the
 // base CSR. Keyword rows work the same way. Lookups therefore cost one extra
 // array probe over a Frozen read — no hashing, no branching on map state —
 // which keeps the hot peeling/BFS loops within noise of the frozen path.
 //
-// An Overlay is immutable once constructed: the write path builds a fresh one
-// per publication (sharing the base, the unchanged row storage and the
-// dictionary), so any number of concurrent readers may hold one forever.
-// Compaction folds an overlay into a new Frozen base via Materialize.
+// An Overlay is immutable once constructed: the write path's Master (the one
+// mutable overlay, which embeds this type) publishes a fresh one per
+// publication, sharing the base, the row storage and the dictionary, so any
+// number of concurrent readers may hold one forever. Compaction folds an
+// overlay into a new Frozen base via Materialize.
 type Overlay struct {
 	base    *Frozen
 	adjIdx  []int32 // len NumVertices; -1 = read base, else index into adjRows

@@ -1,18 +1,19 @@
 package graph
 
 // View is the read-only surface every community-search algorithm consumes.
-// Three implementations exist:
+// Two graph forms implement it, plus two overlays over one of them:
 //
-//   - *Graph, the mutable slice-of-slices form the write path (builders,
-//     incremental maintenance) operates on;
-//   - *Frozen, the compact CSR form published to the serving read path,
-//     where adjacency and keyword scans are sequential over two flat arrays;
-//   - *Overlay, a small immutable delta of row overrides merged over a
-//     Frozen base — the publication form of the LSM-style write path.
+//   - *Graph, the slice-of-slices builder output (also the reference form of
+//     the differential tests and the benchmark's private copies);
+//   - *Frozen, the compact CSR form that serving reads and durable snapshots
+//     map, where adjacency and keyword scans are sequential over flat arrays;
+//   - *Overlay, an immutable delta of row overrides over a Frozen base — the
+//     publication form of the LSM-style write path;
+//   - *Master, the writer's one mutable Overlay (see Mutable).
 //
-// Algorithms written against View run identically on either form — the
+// Algorithms written against View run identically on every form — the
 // differential tests in the public package assert byte-identical results for
-// every query mode. Both implementations guarantee the representation
+// every query mode. All implementations guarantee the representation
 // invariants documented on Graph (sorted, duplicate-free adjacency and
 // keyword lists; NumEdges counting each undirected edge once), so callers may
 // binary-search and merge the returned slices directly.
@@ -55,6 +56,7 @@ var (
 	_ View = (*Graph)(nil)
 	_ View = (*Frozen)(nil)
 	_ View = (*Overlay)(nil)
+	_ View = (*Master)(nil)
 )
 
 // sorted keyword-set primitives shared by the View implementations.

@@ -9,9 +9,8 @@ import "github.com/acq-search/acq/internal/graph"
 // reachable from the endpoints through vertices of core number exactly c
 // (the "purecore") can change, and by at most one.
 type Maintainer struct {
-	g    *graph.Graph
+	g    graph.Mutable
 	core []int32
-	ops  *graph.SetOps
 
 	seen    *graph.Marker
 	evicted *graph.Marker
@@ -19,12 +18,13 @@ type Maintainer struct {
 	stack   []graph.VertexID
 }
 
-// NewMaintainer wraps g, computing the initial decomposition.
-func NewMaintainer(g *graph.Graph) *Maintainer {
+// NewMaintainer wraps g with its current core numbers, core (as Decompose
+// returns them). The maintainer takes ownership of core and updates it in
+// place.
+func NewMaintainer(g graph.Mutable, core []int32) *Maintainer {
 	return &Maintainer{
 		g:    g,
-		core: Decompose(g),
-		ops:  graph.NewSetOps(g),
+		core: core,
 		seen: graph.NewMarker(g.NumVertices()),
 		cd:   make([]int32, g.NumVertices()),
 	}
@@ -35,13 +35,12 @@ func NewMaintainer(g *graph.Graph) *Maintainer {
 func (mt *Maintainer) Core() []int32 { return mt.core }
 
 // Graph returns the underlying graph.
-func (mt *Maintainer) Graph() *graph.Graph { return mt.g }
+func (mt *Maintainer) Graph() graph.Mutable { return mt.g }
 
 // InsertEdge inserts {u, v} into the graph and updates core numbers. It
 // returns the vertices whose core number changed (each increased by one),
 // or nil when the edge already existed.
 func (mt *Maintainer) InsertEdge(u, v graph.VertexID) []graph.VertexID {
-	//acqvet:allow viewpurity — the k-core maintainer is the designated writer for its master graph
 	if !mt.g.InsertEdge(u, v) {
 		return nil
 	}
@@ -98,7 +97,6 @@ func (mt *Maintainer) InsertEdge(u, v graph.VertexID) []graph.VertexID {
 // returns the vertices whose core number changed (each decreased by one),
 // or nil when the edge did not exist.
 func (mt *Maintainer) RemoveEdge(u, v graph.VertexID) []graph.VertexID {
-	//acqvet:allow viewpurity — the k-core maintainer is the designated writer for its master graph
 	if !mt.g.RemoveEdge(u, v) {
 		return nil
 	}

@@ -30,7 +30,7 @@ func TestMaintainerInsertSimple(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	g := b.MustBuild()
-	mt := NewMaintainer(g)
+	mt := NewMaintainer(g, Decompose(g))
 	changed := mt.InsertEdge(0, 2)
 	if len(changed) != 3 {
 		t.Fatalf("changed = %v, want all three", changed)
@@ -53,7 +53,8 @@ func TestMaintainerRejectsDuplicates(t *testing.T) {
 	b.AddVertex("a")
 	b.AddVertex("b")
 	b.AddEdge(0, 1)
-	mt := NewMaintainer(b.MustBuild())
+	g := b.MustBuild()
+	mt := NewMaintainer(g, Decompose(g))
 	if got := mt.InsertEdge(0, 1); got != nil {
 		t.Fatalf("duplicate insert changed %v", got)
 	}
@@ -79,7 +80,7 @@ func TestMaintainerMatchesRecomputeQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(30)
 		g := testutil.RandomGraph(rng, n, 1+3*rng.Float64(), 8, 2)
-		mt := NewMaintainer(g)
+		mt := NewMaintainer(g, Decompose(g))
 		for step := 0; step < 40; step++ {
 			u := graph.VertexID(rng.Intn(n))
 			v := graph.VertexID(rng.Intn(n))
@@ -106,7 +107,7 @@ func TestMaintainerChangeBoundsQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(30)
 		g := testutil.RandomGraph(rng, n, 1+3*rng.Float64(), 8, 2)
-		mt := NewMaintainer(g)
+		mt := NewMaintainer(g, Decompose(g))
 		for step := 0; step < 25; step++ {
 			before := append([]int32(nil), mt.Core()...)
 			u := graph.VertexID(rng.Intn(n))

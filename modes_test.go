@@ -2,8 +2,8 @@ package acq_test
 
 // Differential tests for the unified Search surface across the two read
 // representations: every Query.Mode must return results byte-identical on
-// the direct Graph path (mutable slice-of-slices master) and the Snapshot
-// path (frozen CSR copy). This is the acceptance gate for the frozen read
+// the direct Graph path (the writer's overlay master) and the Snapshot path
+// (frozen CSR copy). This is the acceptance gate for the frozen read
 // path — publishing a snapshot must never change an answer.
 
 import (

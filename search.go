@@ -160,7 +160,7 @@ type Result struct {
 }
 
 // Searcher is the query surface shared by Graph (direct reads against the
-// live master copy) and Snapshot (lock-free reads against an immutable
+// latest publication) and Snapshot (lock-free reads against one pinned
 // published copy). Code that only evaluates queries should accept a Searcher
 // so it serves both paths.
 type Searcher interface {
@@ -177,32 +177,18 @@ var (
 )
 
 // view is the read-only pairing of a graph view with its (possibly nil)
-// CL-tree that every search algorithm runs against. Both Graph (the live,
-// mutable master copy) and Snapshot (an immutable frozen CSR copy) evaluate
-// queries through a view, so the two paths cannot drift apart.
+// CL-tree that every search algorithm runs against: a published frozen base
+// or overlay and its tree. Graph and Snapshot both evaluate queries through a
+// view, so the two paths cannot drift apart.
 type view struct {
 	g    graph.View
 	tree *core.Tree
 }
 
-// view captures the master graph and index. The returned view aliases live
-// state: it is only safe to query while no mutator runs concurrently. Use
-// Snapshot for lock-free reads under concurrent updates.
-//
-// While a mapped boot's master is still deferred (OpenDurable clean
-// recovery), the published zero-copy snapshot stands in — it is exactly the
-// current state until the first mutation, and the first mutation
-// materialises the master.
-func (G *Graph) view() view {
-	if G.masterReady.Load() {
-		return view{g: G.g, tree: G.tree}
-	}
-	if s := G.snap.Load(); s != nil {
-		return s.v
-	}
-	G.ensureMaster()
-	return view{g: G.g, tree: G.tree}
-}
+// view is the graph and index as of the latest write: the current
+// publication's view (see Graph.current). Direct reads go through it, so the
+// writer's master is only ever touched under mu.
+func (G *Graph) view() view { return G.current().v }
 
 // Search evaluates one attributed community query. It is the single
 // evaluation entrypoint: Query.Mode selects the community model (Problem 1
@@ -214,9 +200,10 @@ func (G *Graph) view() view {
 // wraps ErrCanceled and context.Cause(ctx) (context.DeadlineExceeded for a
 // deadline). A nil ctx is treated as context.Background().
 //
-// Search reads the live graph without synchronisation; it is safe for any
-// number of concurrent callers, but not concurrently with mutators. For
-// serving reads during updates, use Snapshot().Search.
+// Search reads the latest published snapshot, publishing one first when
+// writes landed since; it is safe for any number of concurrent callers. For
+// reads that must see one version across several queries, pin
+// Snapshot() and search that.
 func (G *Graph) Search(ctx context.Context, q Query) (Result, error) {
 	return G.view().evaluate(ctx, q)
 }

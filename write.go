@@ -3,6 +3,8 @@ package acq
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"sync/atomic"
 	"time"
 
 	"github.com/acq-search/acq/internal/core"
@@ -63,7 +65,6 @@ func (G *Graph) ApplyMutations(ops []Mutation) []MutationResult {
 	out := make([]MutationResult, len(ops))
 	G.mu.Lock()
 	defer G.mu.Unlock()
-	G.ensureMasterLocked()
 	n := int32(G.g.NumVertices())
 	v0 := G.version.Load()
 	var logOps []wal.Op // effective ops for the WAL, in application order
@@ -85,19 +86,8 @@ func (G *Graph) ApplyMutations(ops []Mutation) []MutationResult {
 			out[i].Err = fmt.Errorf("%w: %q", ErrBadMutation, op.Op)
 			continue
 		}
-		var changed bool
-		switch op.Op {
-		case OpInsertEdge:
-			changed = G.applyInsertEdgeLocked(graph.VertexID(op.U), graph.VertexID(op.V))
-		case OpRemoveEdge:
-			changed = G.applyRemoveEdgeLocked(graph.VertexID(op.U), graph.VertexID(op.V))
-		case OpAddKeyword:
-			changed = G.applyAddKeywordLocked(graph.VertexID(op.Vertex), op.Keyword)
-		case OpRemoveKeyword:
-			changed = G.applyRemoveKeywordLocked(graph.VertexID(op.Vertex), op.Keyword)
-		}
-		out[i].Changed = changed
-		if changed {
+		out[i].Changed = G.applyLocked(op)
+		if out[i].Changed {
 			G.version.Add(1)
 			effective++
 			if logging {
@@ -115,236 +105,104 @@ func (G *Graph) ApplyMutations(ops []Mutation) []MutationResult {
 	return out
 }
 
-// --- raw apply helpers. Each applies one mutation to the master (through the
-// maintainer when an index exists) and records the dirtied rows; version
-// bumps and publication are the caller's job.
+// writer is what a mutation is applied through: the maintainer when an index
+// exists (it writes the master and repairs the tree), the master otherwise.
+type writer interface {
+	InsertEdge(u, v graph.VertexID) bool
+	RemoveEdge(u, v graph.VertexID) bool
+	AddKeyword(v graph.VertexID, word string) bool
+	RemoveKeyword(v graph.VertexID, word string) bool
+}
 
-func (G *Graph) applyInsertEdgeLocked(u, v graph.VertexID) bool {
-	var changed bool
+// applyLocked applies one validated mutation and records it, reporting
+// whether it changed the graph; version bumps and publication are the
+// caller's job.
+func (G *Graph) applyLocked(op Mutation) bool {
+	var w writer = G.g
 	if G.maint != nil {
-		changed = G.maint.InsertEdge(u, v)
-	} else {
-		changed = G.g.InsertEdge(u, v)
+		w = G.maint
 	}
-	if changed {
-		G.noteEdgeLocked(u, v)
+	u, v := graph.VertexID(op.U), graph.VertexID(op.V)
+	vertex := graph.VertexID(op.Vertex)
+	var changed bool
+	switch op.Op {
+	case OpInsertEdge:
+		changed = w.InsertEdge(u, v)
+	case OpRemoveEdge:
+		changed = w.RemoveEdge(u, v)
+	case OpAddKeyword:
+		changed = w.AddKeyword(vertex, op.Keyword)
+	default: // OpRemoveKeyword; ApplyMutations rejects unknown ops earlier
+		changed = w.RemoveKeyword(vertex, op.Keyword)
+	}
+	switch {
+	case !changed:
+	case op.Op == OpInsertEdge || op.Op == OpRemoveEdge:
+		G.noteLocked(&G.deltaEdgeOps)
+	default:
+		G.noteKeywordLocked(vertex)
 	}
 	return changed
 }
 
-func (G *Graph) applyRemoveEdgeLocked(u, v graph.VertexID) bool {
-	var changed bool
-	if G.maint != nil {
-		changed = G.maint.RemoveEdge(u, v)
-	} else {
-		changed = G.g.RemoveEdge(u, v)
+// --- delta bookkeeping. The master holds the rows; what remains here is the
+// publication tree's posting patch and the telemetry.
+
+// noteLocked counts one effective mutation of the kind kindOps counts. The
+// delta counters (and with them the compaction trigger) run only while
+// serving: a graph nobody reads from folds its overlay at the next
+// publication instead.
+func (G *Graph) noteLocked(kindOps *atomic.Int64) {
+	if G.snap.Load() != nil {
+		G.deltaOps.Add(1)
+		kindOps.Add(1)
 	}
-	if changed {
-		G.noteEdgeLocked(u, v)
-	}
-	return changed
+	G.syncDeltaLocked()
 }
 
-func (G *Graph) applyAddKeywordLocked(v graph.VertexID, word string) bool {
-	var changed bool
-	if G.maint != nil {
-		changed = G.maint.AddKeyword(v, word)
-	} else {
-		changed = G.g.AddKeyword(v, word)
-	}
-	if changed {
-		G.noteKeywordLocked(v, 1)
-	}
-	return changed
-}
-
-func (G *Graph) applyRemoveKeywordLocked(v graph.VertexID, word string) bool {
-	var changed bool
-	if G.maint != nil {
-		changed = G.maint.RemoveKeyword(v, word)
-	} else {
-		changed = G.g.RemoveKeyword(v, word)
-	}
-	if changed {
-		G.noteKeywordLocked(v, -1)
-	}
-	return changed
-}
-
-// --- overlay tracking. Active exactly while G.base != nil: every dirtied
-// vertex gets its master row copied into the override tables, so building a
-// publishable Overlay is two index-array copies plus slice-header copies.
-
-// pendingDelta records the rows dirtied while a compaction is materialising
-// off-lock, so the new working overlay can be rebuilt relative to the
-// compacted base without losing the writes that landed mid-compaction.
-type pendingDelta struct {
-	adj, kw             map[graph.VertexID]struct{}
-	ops, edgeOps, kwOps int
-}
-
-func newPendingDelta() *pendingDelta {
-	return &pendingDelta{adj: map[graph.VertexID]struct{}{}, kw: map[graph.VertexID]struct{}{}}
-}
-
-func (G *Graph) noteEdgeLocked(u, v graph.VertexID) {
-	if G.base == nil {
-		return
-	}
-	G.setAdjRowLocked(u)
-	G.setAdjRowLocked(v)
-	G.deltaOps.Add(1)
-	G.deltaEdgeOps.Add(1)
-	G.syncDeltaBytesLocked()
-	if G.pend != nil {
-		G.pend.adj[u] = struct{}{}
-		G.pend.adj[v] = struct{}{}
-		G.pend.ops++
-		G.pend.edgeOps++
-	}
-}
-
-func (G *Graph) noteKeywordLocked(v graph.VertexID, delta int) {
-	if G.base == nil {
-		return
-	}
-	G.setKwRowLocked(v)
-	G.ovKwTotal += delta
-	G.deltaOps.Add(1)
-	G.deltaKwOps.Add(1)
-	G.syncDeltaBytesLocked()
-	if G.tree != nil && G.patchDirty != nil {
+func (G *Graph) noteKeywordLocked(v graph.VertexID) {
+	G.noteLocked(&G.deltaKwOps)
+	if G.tree != nil {
 		G.patchDirty[v] = struct{}{}
 	}
-	if G.pend != nil {
-		G.pend.kw[v] = struct{}{}
-		G.pend.ops++
-		G.pend.kwOps++
+	if G.pendKw != nil {
+		G.pendKw[v] = struct{}{}
 	}
 }
 
-// setAdjRowLocked (re)copies v's master adjacency row into the override
-// table. Rows are replaced wholesale — published overlays share the old row
-// slices, which therefore must never be spliced in place.
-func (G *Graph) setAdjRowLocked(v graph.VertexID) {
-	row := append([]graph.VertexID(nil), G.g.Neighbors(v)...)
-	if i := G.ovAdjIdx[v]; i >= 0 {
-		G.ovAdjLen += len(row) - len(G.ovAdjRows[i])
-		G.ovAdjRows[i] = row
-		return
-	}
-	G.ovAdjIdx[v] = int32(len(G.ovAdjRows))
-	G.ovAdjRows = append(G.ovAdjRows, row)
-	G.ovAdjLen += len(row)
-	G.deltaAdjRows.Add(1)
+// syncDeltaLocked mirrors the master's override rows into the lock-free
+// telemetry counters.
+func (G *Graph) syncDeltaLocked() {
+	adj, kw := G.g.DeltaRows()
+	G.deltaAdjRows.Store(int64(adj))
+	G.deltaKwRows.Store(int64(kw))
+	G.deltaBytes.Store(int64(G.g.DeltaBytes()))
 }
 
-func (G *Graph) setKwRowLocked(v graph.VertexID) {
-	row := append([]graph.KeywordID(nil), G.g.Keywords(v)...)
-	if i := G.ovKwIdx[v]; i >= 0 {
-		G.ovKwLen += len(row) - len(G.ovKwRows[i])
-		G.ovKwRows[i] = row
-		return
-	}
-	G.ovKwIdx[v] = int32(len(G.ovKwRows))
-	G.ovKwRows = append(G.ovKwRows, row)
-	G.ovKwLen += len(row)
-	G.deltaKwRows.Add(1)
-}
-
-// syncDeltaBytesLocked mirrors the overlay's override-row payload size into
-// the lock-free telemetry counter (4 bytes per int32 entry).
-func (G *Graph) syncDeltaBytesLocked() {
-	G.deltaBytes.Store(4 * int64(G.ovAdjLen+G.ovKwLen))
-}
-
-// resetDeltaLocked (re)initialises overlay tracking relative to the freshly
-// frozen base fz, with t2 (the tree clone just published, may be nil) as the
-// reusable publication tree.
-func (G *Graph) resetDeltaLocked(fz *graph.Frozen, t2 *core.Tree) {
-	// Counts come from fz, not the master: at every reset point the base is
-	// an exact freeze of the current state, and on a mapped boot the master
-	// does not exist yet.
-	n := fz.NumVertices()
-	G.base = fz
-	G.ovAdjIdx = fillNegOne(G.ovAdjIdx, n)
-	G.ovKwIdx = fillNegOne(G.ovKwIdx, n)
-	G.ovAdjRows, G.ovKwRows = nil, nil
-	G.ovAdjLen, G.ovKwLen = 0, 0
-	G.ovDict, G.ovDictSize = nil, 0
-	total := 0
-	for v := 0; v < n; v++ {
-		total += len(fz.Keywords(graph.VertexID(v)))
-	}
-	G.ovKwTotal = total
-	G.deltaOps.Store(0)
-	G.deltaEdgeOps.Store(0)
-	G.deltaKwOps.Store(0)
-	G.deltaAdjRows.Store(0)
-	G.deltaKwRows.Store(0)
-	G.deltaBytes.Store(0)
-	G.pubTree = t2
-	if G.maint != nil {
-		G.pubStructRev = G.maint.StructRev()
-	}
+// resetPatchLocked starts an empty posting patch relative to pubTree.
+func (G *Graph) resetPatchLocked() {
 	G.workingPatch = map[*core.Node]*core.NodePostings{}
 	G.patchDirty = map[graph.VertexID]struct{}{}
 }
 
-// dropDeltaLocked turns overlay tracking off entirely; the next publication
-// will be a full freeze (and will re-initialise tracking if the compaction
-// threshold allows it). An in-flight compaction notices the dropped base at
-// install time and discards its work.
-func (G *Graph) dropDeltaLocked() {
-	G.base = nil
-	G.ovAdjIdx, G.ovKwIdx = nil, nil
-	G.ovAdjRows, G.ovKwRows = nil, nil
-	G.ovAdjLen, G.ovKwLen = 0, 0
-	G.ovDict, G.ovDictSize = nil, 0
-	G.ovKwTotal = 0
+// compactNowLocked folds the master's overlay into a fresh base under the
+// writer lock: Materialize plus Rebase, O(n+m). The publication tree is
+// dropped, so the next publication pays one full clone that folds the
+// posting patch in. An in-flight background compaction notices the new base
+// at install time and discards its work. Callers hold G.mu.
+func (G *Graph) compactNowLocked() {
+	if !G.g.Empty() {
+		G.g.Rebase(G.g.Publish().Materialize(buildOptions().ResolvedWorkers(G.g)))
+		G.pubTree = nil
+		G.resetPatchLocked()
+	}
 	G.deltaOps.Store(0)
 	G.deltaEdgeOps.Store(0)
 	G.deltaKwOps.Store(0)
-	G.deltaAdjRows.Store(0)
-	G.deltaKwRows.Store(0)
-	G.deltaBytes.Store(0)
-	G.pubTree = nil
-	G.workingPatch = nil
-	G.patchDirty = nil
-	G.pend = nil
+	G.syncDeltaLocked()
 }
 
-func fillNegOne(s []int32, n int) []int32 {
-	if len(s) != n {
-		s = make([]int32, n)
-	}
-	for i := range s {
-		s[i] = -1
-	}
-	return s
-}
-
-// overlayLocked publishes the current working delta as an immutable Overlay:
-// index arrays are copied, row storage and the base are shared, and the
-// dictionary is the base's unless the master interned new words since the
-// base was frozen (then a clone is cached per dictionary size, so a burst of
-// publications between interns clones once).
-func (G *Graph) overlayLocked() *graph.Overlay {
-	var dict *graph.Dict
-	if sz := G.g.Dict().Size(); sz != G.base.Dict().Size() {
-		if G.ovDict == nil || G.ovDictSize != sz {
-			G.ovDict = G.g.Dict().Clone()
-			G.ovDictSize = sz
-		}
-		dict = G.ovDict
-	}
-	return graph.NewOverlay(G.base,
-		append([]int32(nil), G.ovAdjIdx...), append([][]graph.VertexID(nil), G.ovAdjRows...),
-		append([]int32(nil), G.ovKwIdx...), append([][]graph.KeywordID(nil), G.ovKwRows...),
-		dict, G.g.NumEdges(), G.ovKwTotal)
-}
-
-// deltaTreeLocked produces the tree for a delta publication bound to ov.
+// pubTreeLocked produces the tree for a publication bound to v.
 //
 // While the tree's structure is unchanged since the last full clone
 // (Maintainer.StructRev holds still — keyword splices and intra-node edge
@@ -354,18 +212,17 @@ func (G *Graph) overlayLocked() *graph.Overlay {
 // copies). That keeps keyword-churn publications at microseconds instead of
 // the O(tree) deep clone. After a structural repair, one full clone is paid
 // and becomes the new rebind source.
-func (G *Graph) deltaTreeLocked(ov *graph.Overlay) *core.Tree {
+func (G *Graph) pubTreeLocked(v graph.View) *core.Tree {
 	if G.tree == nil {
 		return nil
 	}
 	rev := G.maint.StructRev()
 	if G.pubTree == nil || G.pubStructRev != rev {
 		workers := buildOptions().ResolvedWorkers(G.g)
-		t2 := G.tree.CloneOpts(ov, core.BuildOptions{Workers: workers})
+		t2 := G.tree.CloneOpts(v, core.BuildOptions{Workers: workers})
 		G.pubTree = t2
 		G.pubStructRev = rev
-		G.workingPatch = map[*core.Node]*core.NodePostings{}
-		G.patchDirty = map[graph.VertexID]struct{}{}
+		G.resetPatchLocked()
 		return t2
 	}
 	if len(G.patchDirty) > 0 {
@@ -375,13 +232,9 @@ func (G *Graph) deltaTreeLocked(ov *graph.Overlay) *core.Tree {
 		G.patchDirty = map[graph.VertexID]struct{}{}
 	}
 	if len(G.workingPatch) == 0 {
-		return G.pubTree.RebindPostings(ov, nil)
+		return G.pubTree.RebindPostings(v, nil)
 	}
-	patch := make(map[*core.Node]*core.NodePostings, len(G.workingPatch))
-	for nd, p := range G.workingPatch {
-		patch[nd] = p
-	}
-	return G.pubTree.RebindPostings(ov, patch)
+	return G.pubTree.RebindPostings(v, maps.Clone(G.workingPatch))
 }
 
 // --- compaction.
@@ -397,14 +250,14 @@ func thresholdOf(raw int64) int {
 // SetCompactionThreshold configures when the background compactor folds the
 // overlay into a new frozen base: after n effective mutations (0 restores
 // DefaultCompactionThreshold). A negative n disables the overlay write path
-// entirely — every effective mutation republishes a full frozen snapshot,
-// the pre-overlay behaviour — which exists for benchmarking and as an
-// escape hatch. The setting takes effect at the next publication.
+// — every publication first folds the overlay synchronously and publishes a
+// full frozen snapshot, the pre-overlay behaviour — which exists for
+// benchmarking and as an escape hatch. The setting takes effect at the next
+// publication.
 func (G *Graph) SetCompactionThreshold(n int) {
 	G.mu.Lock()
 	defer G.mu.Unlock()
 	G.compactThreshold.Store(int64(n))
-	G.dropDeltaLocked()
 }
 
 // maybeCompactLocked schedules a background compaction once the overlay has
@@ -412,7 +265,7 @@ func (G *Graph) SetCompactionThreshold(n int) {
 // the compaction itself runs off-lock on its own goroutine.
 func (G *Graph) maybeCompactLocked() {
 	raw := G.compactThreshold.Load()
-	if G.base == nil || G.pend != nil || raw < 0 {
+	if G.pendKw != nil || raw < 0 {
 		return
 	}
 	if int(G.deltaOps.Load()) < thresholdOf(raw) {
@@ -431,9 +284,9 @@ func (G *Graph) maybeCompactLocked() {
 
 // Compact synchronously folds the current overlay into a new frozen base,
 // waiting for any in-flight background compaction first. It is a no-op when
-// the overlay is empty or the graph is not tracking deltas. Mutators and
-// readers keep running while the fold materialises; the writer lock is held
-// only to capture the overlay and to install the result.
+// the overlay is empty. Mutators and readers keep running while the fold
+// materialises; the writer lock is held only to capture the overlay and to
+// install the result.
 func (G *Graph) Compact() {
 	G.compactMu.Lock()
 	defer G.compactMu.Unlock()
@@ -442,23 +295,24 @@ func (G *Graph) Compact() {
 
 // compactOnce is the compaction body; callers hold G.compactMu (never G.mu).
 //
-// Capture (under mu): an immutable overlay of the current graph, the current
+// Capture (under mu): an immutable overlay of the master, the current
 // rebind tree plus a patch folding every pending keyword change, and the
 // version/revision fingerprints. Fold (off-lock): Overlay.Materialize builds
 // the new CSR base and the patched tree is deep-cloned against it, so the
-// O(n+m) work never blocks writers. Install (under mu): the working overlay
-// is rebuilt relative to the new base from the rows dirtied mid-compaction,
+// O(n+m) work never blocks writers. Install (under mu): the master is rebased
+// onto the new base, keeping the rows written mid-compaction as its overlay,
 // and if nothing changed at all the compacted snapshot replaces the overlay
 // snapshot directly.
 func (G *Graph) compactOnce() {
 	start := time.Now()
 	G.mu.Lock()
-	if G.base == nil || G.deltaOps.Load() == 0 {
+	if G.g.Empty() {
+		G.compactNowLocked() // nothing to fold; just settle the counters
 		G.mu.Unlock()
 		return
 	}
-	base0 := G.base
-	ov := G.overlayLocked()
+	base0 := G.g.Base()
+	ov := G.g.Publish()
 	var treeSrc *core.Tree
 	var patch0 map[*core.Node]*core.NodePostings
 	var rev0 uint64
@@ -466,10 +320,7 @@ func (G *Graph) compactOnce() {
 	if G.tree != nil && G.pubTree != nil && G.maint.StructRev() == G.pubStructRev {
 		rev0 = G.pubStructRev
 		treeSrc = G.pubTree
-		patch0 = make(map[*core.Node]*core.NodePostings, len(G.workingPatch)+len(G.patchDirty))
-		for nd, p := range G.workingPatch {
-			patch0[nd] = p
-		}
+		patch0 = maps.Clone(G.workingPatch)
 		// Fold in keyword changes that have not been published yet; patchDirty
 		// is deliberately left as is — the next publication still needs it.
 		for v := range G.patchDirty {
@@ -477,8 +328,9 @@ func (G *Graph) compactOnce() {
 		}
 	}
 	v0 := G.version.Load()
+	ops0 := [3]int64{G.deltaOps.Load(), G.deltaEdgeOps.Load(), G.deltaKwOps.Load()}
 	workers := buildOptions().ResolvedWorkers(G.g)
-	G.pend = newPendingDelta()
+	G.pendKw = map[graph.VertexID]struct{}{}
 	G.compacting.Store(true)
 	G.mu.Unlock()
 
@@ -489,42 +341,28 @@ func (G *Graph) compactOnce() {
 	}
 
 	G.mu.Lock()
-	G.installCompactedLocked(base0, fz, folded, rev0, gen0, v0)
+	G.installCompactedLocked(base0, fz, folded, rev0, gen0, v0, ops0)
 	G.compacting.Store(false)
 	G.compactions.Add(1)
 	G.lastCompactionNanos.Store(time.Since(start).Nanoseconds())
 	G.mu.Unlock()
 }
 
-// installCompactedLocked swaps the compacted base in and rebuilds the working
-// overlay from the rows dirtied while the fold ran. Callers hold G.mu.
-func (G *Graph) installCompactedLocked(base0, fz *graph.Frozen, folded *core.Tree, rev0, gen0, v0 uint64) {
-	pend := G.pend
-	G.pend = nil
-	if pend == nil || G.base != base0 {
-		// EndServing or SetCompactionThreshold reset tracking mid-fold; the
-		// captured state no longer describes anything current.
+// installCompactedLocked rebases the master onto the compacted base; the
+// rows written while the fold ran stay in its overlay. Callers hold G.mu.
+func (G *Graph) installCompactedLocked(base0, fz *graph.Frozen, folded *core.Tree, rev0, gen0, v0 uint64, ops0 [3]int64) {
+	pendKw := G.pendKw
+	G.pendKw = nil
+	if G.g.Base() != base0 {
+		// A synchronous fold (EndServing, a first or a full publication)
+		// rebased the master mid-fold; the captured state is stale.
 		return
 	}
-	n := G.g.NumVertices()
-	G.base = fz
-	G.ovAdjIdx = fillNegOne(G.ovAdjIdx, n)
-	G.ovKwIdx = fillNegOne(G.ovKwIdx, n)
-	G.ovAdjRows, G.ovKwRows = nil, nil
-	G.ovAdjLen, G.ovKwLen = 0, 0
-	G.ovDict, G.ovDictSize = nil, 0
-	G.deltaAdjRows.Store(0)
-	G.deltaKwRows.Store(0)
-	for v := range pend.adj {
-		G.setAdjRowLocked(v)
-	}
-	for v := range pend.kw {
-		G.setKwRowLocked(v)
-	}
-	G.deltaOps.Store(int64(pend.ops))
-	G.deltaEdgeOps.Store(int64(pend.edgeOps))
-	G.deltaKwOps.Store(int64(pend.kwOps))
-	G.syncDeltaBytesLocked()
+	G.g.Rebase(fz)
+	G.deltaOps.Add(-ops0[0])
+	G.deltaEdgeOps.Add(-ops0[1])
+	G.deltaKwOps.Add(-ops0[2])
+	G.syncDeltaLocked()
 
 	if folded != nil && G.treeGen == gen0 && G.maint.StructRev() == rev0 {
 		// Structure still matches the folded clone: it becomes the new rebind
@@ -532,21 +370,19 @@ func (G *Graph) installCompactedLocked(base0, fz *graph.Frozen, folded *core.Tre
 		// next publication recomputes their patches against the new clone.
 		G.pubTree = folded
 		G.pubStructRev = rev0
-		G.workingPatch = map[*core.Node]*core.NodePostings{}
-		G.patchDirty = map[graph.VertexID]struct{}{}
-		for v := range pend.kw {
+		G.resetPatchLocked()
+		for v := range pendKw {
 			G.patchDirty[v] = struct{}{}
 		}
 	} else if G.tree != nil {
 		// The tree changed structurally mid-fold (or carried no reusable
 		// clone): the next publication pays one full clone.
 		G.pubTree = nil
-		G.workingPatch = map[*core.Node]*core.NodePostings{}
-		G.patchDirty = map[graph.VertexID]struct{}{}
+		G.resetPatchLocked()
 	}
 
 	// Republish over the new base so the served snapshot stops pinning the
-	// old one. With no mutations since capture this publishes an empty delta.
+	// old one. With no mutations since capture this publishes the new base.
 	if G.snap.Load() != nil && G.version.Load() == v0 {
 		G.publishLocked()
 	}
@@ -558,7 +394,7 @@ func (G *Graph) installCompactedLocked(base0, fz *graph.Frozen, folded *core.Tre
 // to poll from metrics scrapers and health probes while writers publish.
 type WriteStats struct {
 	// DeltaOps counts the effective mutations folded into the current
-	// overlay (since the last full publication or compaction).
+	// overlay while serving (since the last full publication or compaction).
 	DeltaOps int
 	// DeltaEdges / DeltaKeywords split DeltaOps by mutation kind.
 	DeltaEdges    int

@@ -360,3 +360,39 @@ func TestEndServingDropsOverlay(t *testing.T) {
 		t.Fatalf("tracking did not resume: %+v", ws)
 	}
 }
+
+// TestSingleOpMutatorsRejectOutOfRange: the four single-op mutators are
+// one-entry ApplyMutations batches, so a vertex ID outside the graph reports
+// false — as ApplyMutations reports ErrVertexNotFound — instead of panicking,
+// and leaves the version where it was.
+func TestSingleOpMutatorsRejectOutOfRange(t *testing.T) {
+	b := acq.NewBuilder()
+	b.AddVertex("a", "x")
+	b.AddVertex("b", "x")
+	b.AddEdge(0, 1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.BuildIndex()
+	g.Snapshot()
+	v0 := g.Version()
+	for name, op := range map[string]func() bool{
+		"InsertEdge":    func() bool { return g.InsertEdge(0, 7) },
+		"InsertEdge<0":  func() bool { return g.InsertEdge(-1, 1) },
+		"RemoveEdge":    func() bool { return g.RemoveEdge(2, 0) },
+		"AddKeyword":    func() bool { return g.AddKeyword(7, "y") },
+		"RemoveKeyword": func() bool { return g.RemoveKeyword(-3, "x") },
+	} {
+		if op() {
+			t.Errorf("%s with an out-of-range vertex reported a change", name)
+		}
+	}
+	if g.Version() != v0 {
+		t.Fatalf("out-of-range single ops moved the version %d -> %d", v0, g.Version())
+	}
+	// In range, a duplicate is a no-op and a removal is effective.
+	if g.InsertEdge(0, 1) || !g.RemoveEdge(0, 1) || g.Version() != v0+1 {
+		t.Fatalf("in-range single ops: version %d, want %d", g.Version(), v0+1)
+	}
+}
