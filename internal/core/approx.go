@@ -3,11 +3,10 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/acq-search/acq/internal/cancel"
 	"github.com/acq-search/acq/internal/clique"
-	"github.com/acq-search/acq/internal/fpm"
 	"github.com/acq-search/acq/internal/graph"
 	"github.com/acq-search/acq/internal/kcore"
 )
@@ -47,7 +46,8 @@ type Approx struct {
 	// returned label size is ≥ (1−ε) times the maximum achievable.
 	Epsilon float64
 	// TopR, when positive, caps the candidate keyword sets verified per
-	// level, largest-support-first as mined.
+	// level to the first TopR in mined order: within a level, candidates
+	// are sorted lexicographically by keyword ID, not by support.
 	TopR int
 }
 
@@ -187,7 +187,7 @@ func (e *env) communityOfComponent(comp []graph.VertexID) []graph.VertexID {
 	if res == nil {
 		return nil
 	}
-	sort.Slice(res, func(i, j int) bool { return res[i] < res[j] })
+	slices.Sort(res)
 	return res
 }
 
@@ -195,12 +195,15 @@ func (e *env) communityOfComponent(comp []graph.VertexID) []graph.VertexID {
 // Approx contract and any work budget metered on ctx. At the zero Approx
 // with an unspent budget the result is identical to Dec's.
 func DecApprox(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options, ap Approx) (Result, Bounds, error) {
-	return decWalk(ctx, t, q, k, s, opt, ap, fpm.FPGrowth, cancel.CatchBudget)
+	return decWalk(ctx, t, q, k, s, opt, ap, nil, cancel.CatchBudget)
 }
 
 // decWalk is the shared body of Dec, DecWithMiner and DecApprox: mine the
 // candidate levels from q's neighbourhood, then walk them through
-// approxLevels, verifying each candidate by local expansion. Each probe
+// approxLevels, verifying each candidate by local expansion. A nil mine
+// selects the bitmask miner (keywordBits.mine) that Dec and DecApprox serve
+// with; DecWithMiner's ablation miners run through mineCandidates instead.
+// Either way the expansion tests keywords on S's bitmasks. Each probe
 // grows q's connected component of {v : core(v) ≥ k ∧ S' ⊆ W(v)} by BFS and
 // refines it with the usual Gk[S'] pipeline. That component is exactly the
 // one Algorithm 4's R̂ filter would feed into ComponentOf — every vertex with
@@ -225,22 +228,29 @@ func decWalk(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Ke
 		return Result{}, Bounds{}, ErrNoKCore
 	}
 	e := t.newEnv(q, k, opt, check)
-	defer t.releaseOps(e.ops)
+	defer t.releaseScratch(e.sc)
 	fallback := func() Result { return fallbackResult(t.SubtreeVertices(t.LocateRoot(q, int32(k)))) }
+	kb := &e.sc.bits
+	kb.reset(t.g, s)
 
 	var levels [][][]graph.KeywordID
-	if probe(func() { levels = mineCandidates(t.g, q, k, s, mine, check) }) {
+	if probe(func() {
+		if mine == nil {
+			levels = kb.mine(t.g, q, k, check)
+		} else {
+			levels = mineCandidates(t.g, q, k, s, mine, check)
+		}
+	}) {
 		return Result{}, Bounds{Upper: len(s), BudgetExhausted: true}, nil
 	}
 	if len(levels) == 0 {
 		return fallback(), exactBounds(0), nil
 	}
 	minCore := int32(k)
+	keep := func(v graph.VertexID) bool { return t.Core[v] >= minCore && kb.covers(t.g.Keywords(v)) }
 	best, b2 := approxLevels(levels, ap, probe, func(set []graph.KeywordID) []graph.VertexID {
-		ball := e.ops.ExpandComponentOf(q, func(v graph.VertexID) bool {
-			return t.Core[v] >= minCore && t.g.HasAllKeywords(v, set)
-		})
-		return e.communityOfComponent(ball)
+		kb.setWant(set)
+		return e.communityOfComponent(e.ops.ExpandComponentOf(q, keep))
 	})
 	if best != nil {
 		return Result{Communities: best, LabelSize: b2.Lower}, b2, nil
@@ -294,19 +304,20 @@ func scopedWalk(
 	if int(t.Core[q]) < k-1 {
 		return Result{}, Bounds{}, ErrNoKCore
 	}
-	ops := t.acquireOps(check)
-	defer t.releaseOps(ops)
+	sc := t.acquireScratch(check)
+	defer t.releaseScratch(sc)
+	kb := &sc.bits
+	kb.reset(t.g, s)
 
 	var levels [][][]graph.KeywordID
-	if probe(func() { levels = mineCandidates(t.g, q, k-1, s, fpm.FPGrowth, check) }) {
+	if probe(func() { levels = kb.mine(t.g, q, k-1, check) }) {
 		return Result{}, Bounds{Upper: len(s), BudgetExhausted: true}, nil
 	}
 	minCore := int32(k - 1)
+	keep := func(v graph.VertexID) bool { return t.Core[v] >= minCore && kb.covers(t.g.Keywords(v)) }
 	best, b2 := approxLevels(levels, ap, probe, func(set []graph.KeywordID) []graph.VertexID {
-		ball := ops.ExpandComponentOf(q, func(v graph.VertexID) bool {
-			return t.Core[v] >= minCore && t.g.HasAllKeywords(v, set)
-		})
-		return verify(t.g, ball, q, k, check)
+		kb.setWant(set)
+		return verify(t.g, sc.ops.ExpandComponentOf(q, keep), q, k, check)
 	})
 	if best != nil {
 		return Result{Communities: best, LabelSize: b2.Lower}, b2, nil

@@ -166,44 +166,52 @@ type Tree struct {
 	// on the master tree and full clones it stays nil.
 	postings map[*Node]*NodePostings
 
-	// scratch recycles the n-sized SetOps of queries against g. Every
-	// constructor — builders, Rehydrate, Clone, CloneOpts, RebindPostings —
-	// starts a fresh pool, so pooled scratch never outlives its view.
+	// scratch recycles the per-query working memory of queries against g.
+	// Every constructor — builders, Rehydrate, Clone, CloneOpts,
+	// RebindPostings — starts a fresh pool, so pooled scratch never outlives
+	// its view.
 	scratch *scratchPool
 }
 
-// scratchPool is a Tree's pool of SetOps bound to the tree's view. Marker
-// epochs make a recycled SetOps as good as a new one, so each query pays for
-// its scratch once per pool rather than once per query.
+// scratchPool is a Tree's pool of queryScratch bound to the tree's view.
+// Marker epochs, and a bit table that each reset clears of the previous
+// query's S, make a recycled queryScratch as good as a new one, so each
+// query pays for its scratch once per pool rather than once per query.
 type scratchPool struct {
 	pool sync.Pool
-	// inUse counts SetOps handed out and not yet released.
+	// inUse counts queryScratch handed out and not yet released.
 	inUse atomic.Int64
 }
 
-// acquireOps returns induced-subgraph scratch bound to t.g with check
-// attached, taken from the tree's pool when one is available. Pair every
-// call with a deferred releaseOps so cancellation and budget unwinds return
-// it too.
-func (t *Tree) acquireOps(check *cancel.Checker) *graph.SetOps {
+// queryScratch is one query's pooled working memory: the n-sized
+// induced-subgraph scratch and the dictionary-sized keyword bit table.
+type queryScratch struct {
+	ops  *graph.SetOps
+	bits keywordBits
+}
+
+// acquireScratch returns query scratch bound to t.g with check attached,
+// taken from the tree's pool when one is available. Pair every call with a
+// deferred releaseScratch so cancellation and budget unwinds return it too.
+func (t *Tree) acquireScratch(check *cancel.Checker) *queryScratch {
 	t.scratch.inUse.Add(1)
-	ops, ok := t.scratch.pool.Get().(*graph.SetOps)
-	if !ok || ops.Graph() != t.g {
-		ops = graph.NewSetOps(t.g)
+	sc, ok := t.scratch.pool.Get().(*queryScratch)
+	if !ok || sc.ops.Graph() != t.g {
+		sc = &queryScratch{ops: graph.NewSetOps(t.g)}
 	}
-	ops.SetChecker(check)
-	return ops
+	sc.ops.SetChecker(check)
+	return sc
 }
 
-// releaseOps detaches the query's checker and returns ops to the pool.
-func (t *Tree) releaseOps(ops *graph.SetOps) {
-	ops.SetChecker(nil)
+// releaseScratch detaches the query's checker and returns sc to the pool.
+func (t *Tree) releaseScratch(sc *queryScratch) {
+	sc.ops.SetChecker(nil)
 	t.scratch.inUse.Add(-1)
-	t.scratch.pool.Put(ops)
+	t.scratch.pool.Put(sc)
 }
 
-// ScratchInUse reports how many pooled SetOps are currently handed out:
-// zero whenever no query is running on t.
+// ScratchInUse reports how many pooled queryScratch are currently handed
+// out: zero whenever no query is running on t.
 func (t *Tree) ScratchInUse() int64 { return t.scratch.inUse.Load() }
 
 // Graph returns the indexed graph view.

@@ -15,8 +15,10 @@ import (
 //  1. If S' is a qualified keyword set then at least k of q's neighbours
 //     contain S' (q needs degree ≥ k inside Gk[S'], and every member of
 //     Gk[S'] contains S'). All candidates can therefore be enumerated up
-//     front by mining q's neighbourhood keyword sets with minimum support k —
-//     the paper (and this implementation) uses FP-Growth.
+//     front by mining q's neighbourhood keyword sets with minimum support k.
+//     The paper uses FP-Growth; Dec mines the same sets, in the same order,
+//     on query-local bitmasks (keywordBits.mine): one tidset per keyword of
+//     S over q's neighbours, intersected depth-first by AND and popcount.
 //  2. Larger keyword sets are contained by fewer vertices, so verifying from
 //     the largest candidates downward reaches the maximal qualified size with
 //     far less work than growing from singletons.
@@ -25,22 +27,26 @@ import (
 // instead of filtering the k-ĉore's R̂ buckets, it grows q's connected
 // component of {v : core(v) ≥ k ∧ S' ⊆ W(v)} by BFS from q (local expansion,
 // see decWalk). The community is the same; the cost follows the community's
-// neighbourhood instead of the size of the k-ĉore. DecWithMiner swaps
-// FP-Growth for another miner (the FP-Growth vs Apriori ablation).
+// neighbourhood instead of the size of the k-ĉore, and the keyword test of
+// a vertex is one AND of its mask over S against the candidate's.
+// DecWithMiner mines with FP-Growth or Apriori instead, the paper's miner
+// ablation; both return the levels the bitmask miner does.
 //
 // ctx bounds the evaluation: cancellation is observed at amortised
 // checkpoints inside the peeling/BFS loops, and a canceled search returns an
 // error wrapping cancel.ErrCanceled and context.Cause(ctx).
 func Dec(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options) (Result, error) {
-	return DecWithMiner(ctx, t, q, k, s, opt, fpm.FPGrowth)
+	res, _, err := decWalk(ctx, t, q, k, s, opt, Approx{}, nil, runToEnd)
+	return res, err
 }
 
 // Miner enumerates all itemsets with support ≥ minSupport, ordered by size
 // and each sorted ascending; fpm.FPGrowth and fpm.Apriori both satisfy it.
 type Miner func(txns [][]fpm.Item, minSupport int) []fpm.Itemset
 
-// DecWithMiner is Dec with a pluggable frequent-itemset miner (used by the
-// FP-Growth vs Apriori ablation bench).
+// DecWithMiner is Dec with a pluggable frequent-itemset miner, run through
+// mineCandidates: the FP-Growth vs Apriori ablation bench, and the reference
+// the bitmask miner is tested against. The answer is Dec's.
 func DecWithMiner(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options, mine Miner) (Result, error) {
 	res, _, err := decWalk(ctx, t, q, k, s, opt, Approx{}, mine, runToEnd)
 	return res, err
@@ -65,9 +71,10 @@ func CommunitiesByLabelSize(ctx context.Context, t *Tree, q graph.VertexID, k in
 		return nil, ErrNoKCore
 	}
 	e := t.newEnv(q, k, opt, check)
-	defer t.releaseOps(e.ops)
+	defer t.releaseScratch(e.sc)
 	kRoot := t.LocateRoot(q, int32(k))
-	levels := mineCandidates(t.g, q, k, s, fpm.FPGrowth, check)
+	e.sc.bits.reset(t.g, s)
+	levels := e.sc.bits.mine(t.g, q, k, check)
 	if maxSize > 0 && len(levels) > maxSize {
 		levels = levels[:maxSize]
 	}
@@ -86,8 +93,10 @@ func CommunitiesByLabelSize(ctx context.Context, t *Tree, q graph.VertexID, k in
 
 // mineCandidates returns the candidate keyword sets bucketed by size (index
 // l-1 holds the size-l sets, each sorted), mined from the keyword sets of
-// q's neighbours restricted to s with minimum support k. check is ticked per
-// neighbour scanned so huge neighbourhoods stay cancellable.
+// q's neighbours restricted to s with minimum support k by a transaction
+// miner. check is ticked per neighbour scanned so huge neighbourhoods stay
+// cancellable. The served walks mine with keywordBits.mine; this is the
+// ablation path and the differential reference.
 func mineCandidates(g graph.View, q graph.VertexID, k int, s []graph.KeywordID, mine Miner, check *cancel.Checker) [][][]graph.KeywordID {
 	if len(s) == 0 {
 		return nil

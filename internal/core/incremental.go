@@ -27,7 +27,7 @@ func IncS(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywo
 		return Result{}, ErrNoKCore
 	}
 	e := t.newEnv(q, k, opt, check)
-	defer t.releaseOps(e.ops)
+	defer t.releaseScratch(e.sc)
 
 	type entry struct {
 		set  []graph.KeywordID
@@ -112,7 +112,7 @@ func IncT(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywo
 		return Result{}, ErrNoKCore
 	}
 	e := t.newEnv(q, k, opt, check)
-	defer t.releaseOps(e.ops)
+	defer t.releaseScratch(e.sc)
 	kRoot := t.LocateRoot(q, int32(k))
 
 	type qualified struct {

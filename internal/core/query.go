@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/acq-search/acq/internal/cancel"
 	"github.com/acq-search/acq/internal/graph"
@@ -72,6 +72,8 @@ type env struct {
 	k     int
 	opt   Options
 	check *cancel.Checker
+	// sc is the pooled scratch ops came from; nil for an index-free env.
+	sc *queryScratch
 }
 
 // newEnv assembles the per-query state of an index-free evaluation, wiring
@@ -84,9 +86,10 @@ func newEnv(g graph.View, q graph.VertexID, k int, opt Options, check *cancel.Ch
 }
 
 // newEnv is the package-level newEnv over scratch taken from t's pool; the
-// caller must defer t.releaseOps(e.ops).
+// caller must defer t.releaseScratch(e.sc).
 func (t *Tree) newEnv(q graph.VertexID, k int, opt Options, check *cancel.Checker) *env {
-	return &env{g: t.g, ops: t.acquireOps(check), q: q, k: k, opt: opt, check: check}
+	sc := t.acquireScratch(check)
+	return &env{g: t.g, ops: sc.ops, q: q, k: k, opt: opt, check: check, sc: sc}
 }
 
 // begin starts a cancellable evaluation: it builds the amortised checker for
@@ -144,16 +147,18 @@ func (e *env) communityOf(cand []graph.VertexID) []graph.VertexID {
 	if res == nil {
 		return nil
 	}
-	sort.Slice(res, func(i, j int) bool { return res[i] < res[j] })
+	slices.Sort(res)
 	return res
 }
 
-// fallbackResult wraps the plain k-ĉore of q as a LabelSize-0 result.
+// fallbackResult wraps the plain k-ĉore of q as a LabelSize-0 result. It
+// sorts kcoreOfQ in place and keeps it: every caller passes a slice of its
+// own (SubtreeVertices, ComponentOf and the clique and truss verifiers all
+// return fresh ones).
 func fallbackResult(kcoreOfQ []graph.VertexID) Result {
-	sorted := append([]graph.VertexID(nil), kcoreOfQ...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(kcoreOfQ)
 	return Result{
-		Communities: []Community{{Vertices: sorted}},
+		Communities: []Community{{Vertices: kcoreOfQ}},
 		Fallback:    true,
 	}
 }

@@ -132,14 +132,14 @@ func TestScratchPoolPerView(t *testing.T) {
 			_, _ = Dec(bgCtx, x, v, 3, nil, DefaultOptions())
 			_, _ = CliqueSearch(bgCtx, x, v, 3, nil)
 			_, _ = TrussSearchD(bgCtx, x, v, 3, 2, nil)
-			ops := x.acquireOps(nil)
-			if ops.Graph() != x.Graph() {
+			sc := x.acquireScratch(nil)
+			if sc.ops.Graph() != x.Graph() {
 				t.Fatalf("%s: pooled SetOps bound to another view", name)
 			}
-			x.releaseOps(ops)
+			x.releaseScratch(sc)
 		}
 		if n := x.ScratchInUse(); n != 0 {
-			t.Fatalf("%s: %d SetOps still handed out after every query returned", name, n)
+			t.Fatalf("%s: %d scratches still handed out after every query returned", name, n)
 		}
 	}
 }

@@ -34,7 +34,7 @@ func SW(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keyword
 		return Result{}, nil
 	}
 	e := t.newEnv(q, k, DefaultOptions(), check)
-	defer t.releaseOps(e.ops)
+	defer t.releaseScratch(e.sc)
 	root := t.LocateRoot(q, int32(k))
 	return singleResult(s, e.communityOf(t.Candidates(root, s, true))), nil
 }
@@ -74,7 +74,7 @@ func (t *Tree) expandCandidate(q graph.VertexID, k int, keep func(graph.VertexID
 		return nil
 	}
 	e := t.newEnv(q, k, DefaultOptions(), check)
-	defer t.releaseOps(e.ops)
+	defer t.releaseScratch(e.sc)
 	minCore := int32(k)
 	return e.communityOfComponent(e.ops.ExpandComponentOf(q, func(v graph.VertexID) bool {
 		return t.Core[v] >= minCore && keep(v)
