@@ -57,7 +57,10 @@
 // ε bounds the relative attribute-score error, the budget hard-caps the
 // vertices/edges a query may touch (enforced at the same cancellation
 // checkpoints, in every mode), and top-r truncates the candidate sets
-// verified per label size. Result reports what was achieved —
+// verified per label size. Top-r counts only candidates contained by at
+// least k of q's neighbours of core ≥ k (k − 1 of core ≥ k − 1 for clique
+// and truss): a set with less support cannot qualify. Result reports what
+// was achieved —
 // ScoreLowerBound ≤ exact score ≤ ScoreUpperBound always holds, Exact
 // marks answers identical to the exact evaluator's, and BudgetExhausted
 // with a partial result (nil error) marks a query its budget cut short.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"slices"
 
 	"github.com/acq-search/acq/internal/cancel"
 	"github.com/acq-search/acq/internal/clique"
@@ -47,7 +46,10 @@ type Approx struct {
 	Epsilon float64
 	// TopR, when positive, caps the candidate keyword sets verified per
 	// level to the first TopR in mined order: within a level, candidates
-	// are sorted lexicographically by keyword ID, not by support.
+	// are sorted lexicographically by keyword ID, not by support. Only sets
+	// contained by at least k of q's neighbours of core ≥ k (k − 1 of core
+	// ≥ k − 1 for clique and truss) are mined, so TopR counts none that
+	// could never qualify.
 	TopR int
 }
 
@@ -187,8 +189,7 @@ func (e *env) communityOfComponent(comp []graph.VertexID) []graph.VertexID {
 	if res == nil {
 		return nil
 	}
-	slices.Sort(res)
-	return res
+	return e.ops.SortSet(res)
 }
 
 // DecApprox is the approximate counterpart of Dec: the same walk under the
@@ -229,14 +230,14 @@ func decWalk(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Ke
 	}
 	e := t.newEnv(q, k, opt, check)
 	defer t.releaseScratch(e.sc)
-	fallback := func() Result { return fallbackResult(t.SubtreeVertices(t.LocateRoot(q, int32(k)))) }
+	fallback := func() Result { return fallbackResult(e.ops, t.SubtreeVertices(t.LocateRoot(q, int32(k)))) }
 	kb := &e.sc.bits
 	kb.reset(t.g, s)
 
 	var levels [][][]graph.KeywordID
 	if probe(func() {
 		if mine == nil {
-			levels = kb.mine(t.g, q, k, check)
+			levels = kb.mine(t.g, t.Core, q, k, check)
 		} else {
 			levels = mineCandidates(t.g, q, k, s, mine, check)
 		}
@@ -278,9 +279,9 @@ func TrussApprox(ctx context.Context, t *Tree, q graph.VertexID, k, d int, s []g
 type scopedVerifier func(g graph.View, cand []graph.VertexID, q graph.VertexID, k int, check *cancel.Checker) []graph.VertexID
 
 // scopedWalk is the shared walk of the (k−1)-core-scoped modes (clique,
-// truss), exact and approximate alike: mine with support k−1, probe levels
-// through approxLevels, fall back to the structure-only community when every
-// level is refuted. Each candidate is verified on q's connected component of
+// truss), exact and approximate alike: mine with support k−1 over q's
+// neighbours of core ≥ k−1, probe levels through approxLevels, fall back to
+// the structure-only community when every level is refuted. Each candidate is verified on q's connected component of
 // the S'-filtered (k−1)-core, grown by local expansion as in decWalk: the
 // clique and truss communities containing q are confined to that component,
 // so feeding it instead of the whole filtered (k−1)-core changes nothing.
@@ -310,7 +311,7 @@ func scopedWalk(
 	kb.reset(t.g, s)
 
 	var levels [][][]graph.KeywordID
-	if probe(func() { levels = kb.mine(t.g, q, k-1, check) }) {
+	if probe(func() { levels = kb.mine(t.g, t.Core, q, k-1, check) }) {
 		return Result{}, Bounds{Upper: len(s), BudgetExhausted: true}, nil
 	}
 	minCore := int32(k - 1)
@@ -330,7 +331,7 @@ func scopedWalk(
 		if comm == nil {
 			return Result{}, Bounds{}, ErrNoKCore
 		}
-		return fallbackResult(comm), exactBounds(0), nil
+		return fallbackResult(sc.ops, comm), exactBounds(0), nil
 	}
 	return Result{}, b2, nil
 }

@@ -100,7 +100,7 @@ func basicLoop(e *env, s []graph.KeywordID, scope []graph.VertexID) Result {
 		// plain k-ĉore of q (footnote 2 of the paper).
 		ck := e.ops.ComponentOf(scope, e.q)
 		surv := e.ops.PeelToMinDegree(ck, e.k)
-		return fallbackResult(e.ops.ComponentOf(surv, e.q))
+		return fallbackResult(e.ops, e.ops.ComponentOf(surv, e.q))
 	}
 	res := Result{LabelSize: len(prev[0].set)}
 	for _, qset := range prev {

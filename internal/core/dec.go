@@ -14,11 +14,14 @@ import (
 //
 //  1. If S' is a qualified keyword set then at least k of q's neighbours
 //     contain S' (q needs degree ≥ k inside Gk[S'], and every member of
-//     Gk[S'] contains S'). All candidates can therefore be enumerated up
-//     front by mining q's neighbourhood keyword sets with minimum support k.
-//     The paper uses FP-Growth; Dec mines the same sets, in the same order,
-//     on query-local bitmasks (keywordBits.mine): one tidset per keyword of
-//     S over q's neighbours, intersected depth-first by AND and popcount.
+//     Gk[S'] contains S'), and each of those neighbours has core ≥ k (it
+//     lies in Gk[S'], a subgraph of minimum degree k). All candidates can
+//     therefore be enumerated up front by mining the keyword sets of q's
+//     neighbours of core ≥ k with minimum support k. The paper uses
+//     FP-Growth over every neighbour; Dec mines on query-local bitmasks
+//     (keywordBits.mine): one tidset per keyword of S over q's neighbours
+//     of core ≥ k, intersected depth-first by AND and popcount. Within a
+//     level the sets come in FP-Growth's order.
 //  2. Larger keyword sets are contained by fewer vertices, so verifying from
 //     the largest candidates downward reaches the maximal qualified size with
 //     far less work than growing from singletons.
@@ -29,8 +32,8 @@ import (
 // see decWalk). The community is the same; the cost follows the community's
 // neighbourhood instead of the size of the k-ĉore, and the keyword test of
 // a vertex is one AND of its mask over S against the candidate's.
-// DecWithMiner mines with FP-Growth or Apriori instead, the paper's miner
-// ablation; both return the levels the bitmask miner does.
+// DecWithMiner mines with FP-Growth or Apriori over every neighbour instead,
+// the paper's miner ablation: more candidates, the same answer.
 //
 // ctx bounds the evaluation: cancellation is observed at amortised
 // checkpoints inside the peeling/BFS loops, and a canceled search returns an
@@ -45,8 +48,9 @@ func Dec(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywor
 type Miner func(txns [][]fpm.Item, minSupport int) []fpm.Itemset
 
 // DecWithMiner is Dec with a pluggable frequent-itemset miner, run through
-// mineCandidates: the FP-Growth vs Apriori ablation bench, and the reference
-// the bitmask miner is tested against. The answer is Dec's.
+// mineCandidates over all of q's neighbours: the FP-Growth vs Apriori
+// ablation bench, and the reference the bitmask miner is tested against.
+// The answer is Dec's.
 func DecWithMiner(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options, mine Miner) (Result, error) {
 	res, _, err := decWalk(ctx, t, q, k, s, opt, Approx{}, mine, runToEnd)
 	return res, err
@@ -74,7 +78,7 @@ func CommunitiesByLabelSize(ctx context.Context, t *Tree, q graph.VertexID, k in
 	defer t.releaseScratch(e.sc)
 	kRoot := t.LocateRoot(q, int32(k))
 	e.sc.bits.reset(t.g, s)
-	levels := e.sc.bits.mine(t.g, q, k, check)
+	levels := e.sc.bits.mine(t.g, t.Core, q, k, check)
 	if maxSize > 0 && len(levels) > maxSize {
 		levels = levels[:maxSize]
 	}

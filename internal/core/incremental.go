@@ -84,7 +84,7 @@ func IncS(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywo
 		}
 	}
 	if len(prev) == 0 {
-		return fallbackResult(t.SubtreeVertices(t.LocateRoot(q, int32(k)))), nil
+		return fallbackResult(e.ops, t.SubtreeVertices(t.LocateRoot(q, int32(k)))), nil
 	}
 	res = Result{LabelSize: len(prev[0].set)}
 	for _, qe := range prev {
@@ -148,7 +148,7 @@ func IncT(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywo
 		cur = next
 	}
 	if len(prev) == 0 {
-		return fallbackResult(t.SubtreeVertices(kRoot)), nil
+		return fallbackResult(e.ops, t.SubtreeVertices(kRoot)), nil
 	}
 	res = Result{LabelSize: len(prev[0].set)}
 	for _, qe := range prev {

@@ -90,16 +90,19 @@ func (b *keywordBits) covers(kw []graph.KeywordID) bool {
 
 // mine returns the candidate keyword sets of the current S bucketed by size
 // (index l-1 holds the size-l sets): every subset of S contained by at least
-// k of q's neighbours. It equals mineCandidates(g, q, k, S, fpm.FPGrowth,
-// check) element for element. Each keyword of S has a tidset marking the
-// neighbours that hold it; a depth-first walk in S's order extends a set by
-// every later frequent keyword, ANDs the tidsets and keeps the extension
-// while its popcount is ≥ k. Depth-first in S's order emits each size's sets
-// in lexicographic order, which is FP-Growth's canonical order within a
-// level. Every level shares one backing array, and the sets are
-// full-slice-capped into it. check is ticked per neighbour scanned, as
+// k of q's neighbours of core ≥ k. A community at support k holds k of q's
+// neighbours, each with core ≥ k, so a neighbour of lower core can support
+// no candidate that qualifies and is skipped. Over the neighbours kept, the
+// levels equal mineCandidates(g, q, k, S, fpm.FPGrowth, check) element for
+// element. Each keyword of S has a tidset marking the neighbours that hold
+// it; a depth-first walk in S's order extends a set by every later frequent
+// keyword, ANDs the tidsets and keeps the extension while its popcount is
+// ≥ k. Depth-first in S's order emits each size's sets in lexicographic
+// order, which is FP-Growth's canonical order within a level. Every level
+// shares one backing array, and the sets are full-slice-capped into it.
+// check is ticked per neighbour scanned, skipped ones included, as
 // mineCandidates does.
-func (b *keywordBits) mine(g graph.View, q graph.VertexID, k int, check *cancel.Checker) [][][]graph.KeywordID {
+func (b *keywordBits) mine(g graph.View, core []int32, q graph.VertexID, k int, check *cancel.Checker) [][][]graph.KeywordID {
 	n := len(b.s)
 	if n == 0 {
 		return nil
@@ -113,6 +116,9 @@ func (b *keywordBits) mine(g graph.View, q graph.VertexID, k int, check *cancel.
 	clear(b.tids[:n*tw])
 	for j, v := range neighbors {
 		check.Tick(1)
+		if int(core[v]) < k {
+			continue
+		}
 		word, bit := j>>6, uint64(1)<<(j&63)
 		for _, w := range g.Keywords(v) {
 			if e := b.tab[w]; e > 0 {

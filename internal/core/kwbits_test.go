@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -55,15 +56,43 @@ func starGraph(rng *rand.Rand, deg, sizeS int) (*graph.Graph, []graph.KeywordID)
 	return g, append([]graph.KeywordID(nil), g.Keywords(q)...)
 }
 
-// checkMineLevels holds the bitmask miner to mineCandidates over FP-Growth,
-// level for level and set for set, and the mask keyword test to
-// HasAllKeywords on every neighbour for the first candidates of each level.
-func checkMineLevels(t *testing.T, kb *keywordBits, g graph.View, s []graph.KeywordID, k int) {
+// coreKept is a view of g in which q's neighbours are only those of core
+// ≥ k, so mineCandidates over it runs FP-Growth on exactly the transactions
+// the bitmask miner keeps.
+type coreKept struct {
+	graph.View
+	q    graph.VertexID
+	nbrs []graph.VertexID
+}
+
+func (c coreKept) Neighbors(v graph.VertexID) []graph.VertexID {
+	if v == c.q {
+		return c.nbrs
+	}
+	return c.View.Neighbors(v)
+}
+
+// keepCore returns g with q's neighbours of core < k cut off.
+func keepCore(g graph.View, core []int32, q graph.VertexID, k int) graph.View {
+	var nbrs []graph.VertexID
+	for _, v := range g.Neighbors(q) {
+		if int(core[v]) >= k {
+			nbrs = append(nbrs, v)
+		}
+	}
+	return coreKept{View: g, q: q, nbrs: nbrs}
+}
+
+// checkMineLevels holds the bitmask miner to mineCandidates over FP-Growth
+// on the neighbours of core ≥ k, level for level and set for set, and the
+// mask keyword test to HasAllKeywords on every neighbour for the first
+// candidates of each level.
+func checkMineLevels(t *testing.T, kb *keywordBits, g graph.View, core []int32, s []graph.KeywordID, k int) {
 	t.Helper()
 	const q = graph.VertexID(1)
 	kb.reset(g, s)
-	got := kb.mine(g, q, k, nil)
-	want := mineCandidates(g, q, k, s, fpm.FPGrowth, nil)
+	got := kb.mine(g, core, q, k, nil)
+	want := mineCandidates(keepCore(g, core, q, k), q, k, s, fpm.FPGrowth, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("|S| = %d, deg = %d, k = %d: bitmask levels\n%v\nFP-Growth levels\n%v", len(s), g.Degree(q), k, got, want)
 	}
@@ -81,8 +110,11 @@ func checkMineLevels(t *testing.T, kb *keywordBits, g graph.View, s []graph.Keyw
 
 // FuzzMineLevels: the bitmask miner returns FP-Growth's levels element for
 // element, with q's degree crossing 64 (multi-word tidsets), |S| crossing 64
-// (multi-word masks) and k from 1 to deg + 1. A second, sparser S mined on
-// the same scratch checks that reset retires the first S's bits.
+// (multi-word masks) and k from 1 to deg + 1. Every vertex first has a core
+// above any k, so no neighbour is skipped and the reference is FP-Growth
+// over all of q's neighbours; then a random core in [0, 2k] skips about half
+// of them, and the reference mines only those of core ≥ k. A second, sparser
+// S mined on the same scratch checks that reset retires the first S's bits.
 func FuzzMineLevels(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(12), uint8(3))
 	f.Add(int64(2), uint8(130), uint8(12), uint8(5))
@@ -92,26 +124,35 @@ func FuzzMineLevels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, degB, sizeB, kB uint8) {
 		deg, sizeS := 1+int(degB)%200, 1+int(sizeB)%100
 		k := 1 + int(kB)%(deg+1)
-		g, s := starGraph(rand.New(rand.NewSource(seed)), deg, sizeS)
+		rng := rand.New(rand.NewSource(seed))
+		g, s := starGraph(rng, deg, sizeS)
+		all := make([]int32, g.NumVertices())
+		core := make([]int32, g.NumVertices())
+		for v := range core {
+			all[v] = math.MaxInt32
+			core[v] = int32(rng.Intn(2*k + 1))
+		}
 		var kb keywordBits
-		checkMineLevels(t, &kb, g, s, k)
+		checkMineLevels(t, &kb, g, all, s, k)
+		checkMineLevels(t, &kb, g, core, s, k)
 		var sparse []graph.KeywordID
 		for i := 0; i < len(s); i += 3 {
 			sparse = append(sparse, s[i])
 		}
-		checkMineLevels(t, &kb, g, sparse, max(1, k/2))
+		checkMineLevels(t, &kb, g, core, sparse, max(1, k/2))
 	})
 }
 
 // TestDecAllocsPerQuery pins the allocations of a fixed set of exact core
 // queries: 100 seeded vertices of core ≥ 6 on dblp@0.5, at k = 6 with
 // S = W(q). Mining allocates only the returned levels (three slices), not
-// one object per transaction or itemset.
+// one object per transaction or itemset, and mining over neighbours of core
+// ≥ k leaves about two candidates per query to verify.
 func TestDecAllocsPerQuery(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
-	const maxAllocs = 121
+	const maxAllocs = 25
 	cfg, err := datagen.Preset("dblp")
 	if err != nil {
 		t.Fatal(err)
@@ -130,5 +171,44 @@ func TestDecAllocsPerQuery(t *testing.T) {
 	t.Logf("dblp@0.5: %.2f allocations per exact Dec query", perQuery)
 	if perQuery > maxAllocs {
 		t.Fatalf("exact Dec allocates %.2f objects per query, want ≤ %d", perQuery, maxAllocs)
+	}
+}
+
+// TestDecCandidatesVerified: mining over q's neighbours of core ≥ k verifies
+// at least 5× fewer candidates than mining over all of them, and changes no
+// answer. 300 exact walks at k = 6 on dblp@0.5 run twice through
+// approxLevels with a counting verify: over the served levels
+// (keywordBits.mine) and over FP-Growth's unfiltered ones (mineCandidates).
+func TestDecCandidatesVerified(t *testing.T) {
+	const k = 6
+	cfg, err := datagen.Preset("dblp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := BuildAdvanced(datagen.Generate(cfg.Scale(0.5)).Freeze(1))
+	var served, unfiltered int
+	for _, q := range presetQueries(t, tr, 300, k) {
+		e := tr.newEnv(q, k, DefaultOptions(), nil)
+		kb := &e.sc.bits
+		s := tr.g.Keywords(q)
+		kb.reset(tr.g, s)
+		keep := func(v graph.VertexID) bool { return tr.Core[v] >= k && kb.covers(tr.g.Keywords(v)) }
+		walk := func(levels [][][]graph.KeywordID, verified *int) ([]Community, Bounds) {
+			return approxLevels(levels, Approx{}, runToEnd, func(set []graph.KeywordID) []graph.VertexID {
+				*verified++
+				kb.setWant(set)
+				return e.communityOfComponent(e.ops.ExpandComponentOf(q, keep))
+			})
+		}
+		got, gotB := walk(kb.mine(tr.g, tr.Core, q, k, nil), &served)
+		want, wantB := walk(mineCandidates(tr.g, q, k, s, fpm.FPGrowth, nil), &unfiltered)
+		tr.releaseScratch(e.sc)
+		if !reflect.DeepEqual(got, want) || gotB != wantB {
+			t.Fatalf("q = %d: core-filtered walk %v %+v, unfiltered walk %v %+v", q, got, gotB, want, wantB)
+		}
+	}
+	t.Logf("dblp@0.5, k = %d, 300 queries: %d candidates verified over neighbours of core ≥ k, %d over all neighbours", k, served, unfiltered)
+	if 5*served > unfiltered {
+		t.Fatalf("verified %d candidates with the core filter and %d without, want at least 5× fewer", served, unfiltered)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"github.com/acq-search/acq/internal/cancel"
 	"github.com/acq-search/acq/internal/graph"
@@ -147,16 +146,16 @@ func (e *env) communityOf(cand []graph.VertexID) []graph.VertexID {
 	if res == nil {
 		return nil
 	}
-	slices.Sort(res)
-	return res
+	return e.ops.SortSet(res)
 }
 
 // fallbackResult wraps the plain k-ĉore of q as a LabelSize-0 result. It
-// sorts kcoreOfQ in place and keeps it: every caller passes a slice of its
-// own (SubtreeVertices, ComponentOf and the clique and truss verifiers all
+// sorts kcoreOfQ in place with ops.SortSet, a bitmap sort over the set's ID
+// span, and keeps it: every caller passes a slice of its own
+// (SubtreeVertices, ComponentOf and the clique and truss verifiers all
 // return fresh ones).
-func fallbackResult(kcoreOfQ []graph.VertexID) Result {
-	slices.Sort(kcoreOfQ)
+func fallbackResult(ops *graph.SetOps, kcoreOfQ []graph.VertexID) Result {
+	kcoreOfQ = ops.SortSet(kcoreOfQ)
 	return Result{
 		Communities: []Community{{Vertices: kcoreOfQ}},
 		Fallback:    true,

@@ -40,7 +40,7 @@ func refDec(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Key
 	sub := t.SubtreeVertices(t.LocateRoot(q, int32(k)))
 	levels := mineCandidates(t.g, q, k, s, fpm.FPGrowth, check)
 	if len(levels) == 0 {
-		return fallbackResult(sub), nil
+		return fallbackResult(e.ops, sub), nil
 	}
 	h := len(levels)
 	shared := make([][]graph.VertexID, h+1)
@@ -66,7 +66,7 @@ func refDec(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Key
 			rHat = append(rHat, shared[l-1]...)
 		}
 	}
-	return fallbackResult(sub), nil
+	return fallbackResult(e.ops, sub), nil
 }
 
 // refScoped is the (k−1)-core-scoped search of the clique and truss modes
@@ -105,7 +105,7 @@ func refScoped(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.
 	if comm == nil {
 		return Result{}, ErrNoKCore
 	}
-	return fallbackResult(comm), nil
+	return fallbackResult(ops, comm), nil
 }
 
 // refSWT is Variant 2 as a k-ĉore scan: filter every vertex of q's k-ĉore

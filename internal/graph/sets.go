@@ -1,6 +1,11 @@
 package graph
 
-import "github.com/acq-search/acq/internal/cancel"
+import (
+	"math/bits"
+	"slices"
+
+	"github.com/acq-search/acq/internal/cancel"
+)
 
 // Marker is an epoch-based membership set over vertices. Resetting it is
 // O(1) (the epoch is bumped), which keeps repeated induced-subgraph
@@ -59,6 +64,9 @@ type SetOps struct {
 	alive *Marker
 	deg   []int32
 	queue []VertexID
+	// words is SortSet's bitmap, one bit per vertex; every word is zero
+	// between calls.
+	words []uint64
 
 	// check, when non-nil, is polled (amortised) from every induced-subgraph
 	// loop so a canceled context stops evaluation mid-operation. The nil
@@ -75,6 +83,7 @@ func NewSetOps(g View) *SetOps {
 		alive: NewMarker(n),
 		deg:   make([]int32, n),
 		queue: make([]VertexID, 0, 256),
+		words: make([]uint64, (n+63)/64),
 	}
 }
 
@@ -259,6 +268,48 @@ func (s *SetOps) FilterByKeywords(cand []VertexID, set []KeywordID) []VertexID {
 		if s.g.HasAllKeywords(v, set) {
 			out = append(out, v)
 		}
+	}
+	return out
+}
+
+// SortSet sorts vs ascending and drops duplicates in place, returning the
+// shortened slice. Every ID must be below the view's vertex count. It sets
+// one bit per vertex in a bitmap over vs's ID span, then scans the span's
+// words in order, emitting their set bits and clearing each word as it goes,
+// so the bitmap is zero again on return. A span wider than len(vs)·⌈log₂
+// len(vs)⌉ words would cost more to scan than a comparison sort, so such
+// sets go to slices.Sort and slices.Compact instead.
+//
+// SortSet does not tick the checker. It replaces a comparison sort that did
+// not tick either, so a query's metered work is what it was, and the
+// fallback answers it sorts are assembled outside the walks' budget probes,
+// where a budget unwind would turn a partial result into an error.
+func (s *SetOps) SortSet(vs []VertexID) []VertexID {
+	if len(vs) < 2 {
+		return vs
+	}
+	lo, hi := vs[0], vs[0]
+	//acqvet:allow cancelcheck — unmetered like the sort it replaced; see the doc comment
+	for _, v := range vs[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	first, last := int(lo>>6), int(hi>>6)
+	if last-first+1 > len(vs)*bits.Len(uint(len(vs)-1)) {
+		slices.Sort(vs)
+		return slices.Compact(vs)
+	}
+	span := s.words[first : last+1]
+	//acqvet:allow cancelcheck — unmetered like the sort it replaced; see the doc comment
+	for _, v := range vs {
+		span[int(v>>6)-first] |= 1 << (v & 63)
+	}
+	out := vs[:0]
+	for i, w := range span {
+		base := VertexID((first + i) << 6)
+		for ; w != 0; w &= w - 1 {
+			out = append(out, base+VertexID(bits.TrailingZeros64(w)))
+		}
+		span[i] = 0
 	}
 	return out
 }
