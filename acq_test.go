@@ -389,6 +389,37 @@ func TestSearchClique(t *testing.T) {
 	}
 }
 
+// TestSearchCliqueCapIsInexact: a clique query whose verification hits the
+// enumeration cap answers an inexact, budget-exhausted bracket, not "no
+// k-core". On K_{3,…,3} with 12 parts (3^12 maximal cliques) every vertex
+// lies in a 12-clique and carries the keyword x.
+func TestSearchCliqueCapIsInexact(t *testing.T) {
+	const parts, size = 12, 3
+	b := acq.NewBuilder()
+	for v := 0; v < parts*size; v++ {
+		b.AddVertex("", "x")
+	}
+	for u := int32(0); u < parts*size; u++ {
+		for v := u + 1; v < parts*size; v++ {
+			if u/size != v/size {
+				b.AddEdge(u, v)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.BuildIndex()
+	res, err := g.Search(bgCtx, acq.Query{VertexID: 0, K: 3, Mode: acq.ModeClique})
+	if err != nil {
+		t.Fatalf("err = %v, want an inexact result", err)
+	}
+	if len(res.Communities) != 0 || res.Exact || !res.BudgetExhausted || res.ScoreLowerBound != 0 || res.ScoreUpperBound != 1 {
+		t.Fatalf("result = %+v, want no communities, bounds [0, 1], exact false, budget exhausted", res)
+	}
+}
+
 func TestSearchSimilar(t *testing.T) {
 	g := figure1Graph(t)
 	g.BuildIndex()

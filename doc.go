@@ -63,8 +63,9 @@
 // was achieved —
 // ScoreLowerBound ≤ exact score ≤ ScoreUpperBound always holds, Exact
 // marks answers identical to the exact evaluator's, and BudgetExhausted
-// with a partial result (nil error) marks a query its budget cut short.
-// The zero knobs keep the exact path byte-for-byte.
+// with a partial result (nil error) marks a query its budget cut short, or
+// a clique query whose enumeration passed its maximal-clique cap. The zero
+// knobs keep the exact path byte-for-byte.
 //
 // # Removed variant methods
 //

@@ -11,6 +11,7 @@
 package clique
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/acq-search/acq/internal/cancel"
@@ -131,17 +132,20 @@ func remove(set []graph.VertexID, v graph.VertexID) []graph.VertexID {
 }
 
 // CommunityOf returns the k-clique-percolation community of q within the
-// subgraph induced by cand: the union of all maximal cliques of size ≥ k
-// reachable (via ≥ k−1 vertex overlaps) from a clique containing q. nil
-// means q is in no clique of size ≥ k (or enumeration hit MaxCliques).
-// check is ticked through enumeration and percolation (nil = uncancellable).
-func CommunityOf(g graph.View, cand []graph.VertexID, q graph.VertexID, k int, check *cancel.Checker) []graph.VertexID {
+// subgraph induced by cand, over ops's view: the union of all maximal
+// cliques of size ≥ k reachable (via ≥ k−1 vertex overlaps) from a clique
+// containing q, sorted with ops.SortSet. nil means q is in no clique of size
+// ≥ k. An enumeration that hits MaxCliques proves nothing either way, so it
+// unwinds through cancel.Exhaust as an exhausted budget would; callers run
+// under cancel.Recover or cancel.CatchBudget. check is ticked through
+// enumeration and percolation (nil = uncancellable).
+func CommunityOf(ops *graph.SetOps, cand []graph.VertexID, q graph.VertexID, k int, check *cancel.Checker) []graph.VertexID {
 	if k < 2 {
 		k = 2
 	}
-	all, ok := Maximal(g, cand, check)
+	all, ok := Maximal(ops.Graph(), cand, check)
 	if !ok {
-		return nil
+		cancel.Exhaust(fmt.Sprintf("more than %d maximal cliques", MaxCliques))
 	}
 	var cliques [][]graph.VertexID
 	for _, c := range all {
@@ -178,18 +182,12 @@ func CommunityOf(g graph.View, cand []graph.VertexID, q graph.VertexID, k int, c
 			}
 		}
 	}
-	member := map[graph.VertexID]bool{}
+	// SortSet drops the members that overlapping cliques repeat.
+	var out []graph.VertexID
 	for _, i := range queue {
-		for _, v := range cliques[i] {
-			member[v] = true
-		}
+		out = append(out, cliques[i]...)
 	}
-	out := make([]graph.VertexID, 0, len(member))
-	for v := range member {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return ops.SortSet(out)
 }
 
 // overlapAtLeast reports whether two sorted cliques share ≥ want vertices.

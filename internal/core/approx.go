@@ -5,9 +5,7 @@ import (
 	"math"
 
 	"github.com/acq-search/acq/internal/cancel"
-	"github.com/acq-search/acq/internal/clique"
 	"github.com/acq-search/acq/internal/graph"
-	"github.com/acq-search/acq/internal/kcore"
 )
 
 // This file implements the approximate evaluation path for the
@@ -65,7 +63,10 @@ type Bounds struct {
 	// Work is the number of work units charged to the query's meter, at
 	// checkpoint granularity (0 when no meter was attached).
 	Work int64
-	// BudgetExhausted reports that the work budget ran out mid-evaluation.
+	// BudgetExhausted reports that the work budget ran out mid-evaluation,
+	// or that a verification hit an enumeration cap of its own (a clique
+	// search beyond clique.MaxCliques maximal cliques). Either way the
+	// interrupted probe refuted nothing and the bounds stand.
 	BudgetExhausted bool
 	// Truncated reports that top-r dropped candidate sets at some level.
 	Truncated bool
@@ -169,51 +170,52 @@ func approxLevels(levels [][][]graph.KeywordID, ap Approx, probe prober, verify 
 	}
 }
 
-// communityOfComponent is communityOf for a candidate set that is already
-// q's connected component (a local-expansion ball): the initial ComponentOf
-// pass would return its input, so it is skipped; the rest of the Gk[S']
-// pipeline — Lemma 3 prune, peel to minimum degree k, re-take q's component
-// — is identical, and so is the result.
-func (e *env) communityOfComponent(comp []graph.VertexID) []graph.VertexID {
-	if len(comp) == 0 {
-		return nil
-	}
-	if e.opt.UseLemma3 {
-		m := e.ops.InducedEdgeCount(comp)
-		if !kcore.CanContainKCore(len(comp), m, e.k) {
-			return nil
-		}
-	}
-	surv := e.ops.PeelToMinDegree(comp, e.k)
-	res := e.ops.ComponentOf(surv, e.q)
-	if res == nil {
-		return nil
-	}
-	return e.ops.SortSet(res)
-}
-
 // DecApprox is the approximate counterpart of Dec: the same walk under the
 // Approx contract and any work budget metered on ctx. At the zero Approx
 // with an unspent budget the result is identical to Dec's.
 func DecApprox(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options, ap Approx) (Result, Bounds, error) {
-	return decWalk(ctx, t, q, k, s, opt, ap, nil, cancel.CatchBudget)
+	return walk(ctx, t, q, k, s, opt, ap, kcoreStructure, nil, cancel.CatchBudget)
 }
 
-// decWalk is the shared body of Dec, DecWithMiner and DecApprox: mine the
-// candidate levels from q's neighbourhood, then walk them through
-// approxLevels, verifying each candidate by local expansion. A nil mine
-// selects the bitmask miner (keywordBits.mine) that Dec and DecApprox serve
-// with; DecWithMiner's ablation miners run through mineCandidates instead.
-// Either way the expansion tests keywords on S's bitmasks. Each probe
-// grows q's connected component of {v : core(v) ≥ k ∧ S' ⊆ W(v)} by BFS and
-// refines it with the usual Gk[S'] pipeline. That component is exactly the
-// one Algorithm 4's R̂ filter would feed into ComponentOf — every vertex with
-// core ≥ k reachable from q through S'-containing vertices lies in q's
-// k-ĉore and shares ≥ |S'| query keywords — so the community is identical,
-// but the cost is proportional to the community's neighbourhood rather than
-// to the k-ĉore. The k-ĉore itself is materialised only for a fallback
-// answer.
-func decWalk(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options, ap Approx, mine Miner, probe prober) (res Result, b Bounds, err error) {
+// CliqueApprox is the approximate counterpart of CliqueSearch under the same
+// contract as DecApprox.
+func CliqueApprox(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, ap Approx) (Result, Bounds, error) {
+	return walk(ctx, t, q, k, s, DefaultOptions(), ap, cliqueStructure, nil, cancel.CatchBudget)
+}
+
+// TrussApprox is the approximate counterpart of TrussSearchD (and of
+// TrussSearch when d ≤ 0) under the same contract as DecApprox.
+func TrussApprox(ctx context.Context, t *Tree, q graph.VertexID, k, d int, s []graph.KeywordID, ap Approx) (Result, Bounds, error) {
+	return walk(ctx, t, q, k, s, DefaultOptions(), ap, trussStructure(d), nil, cancel.CatchBudget)
+}
+
+// A structure is the structure-cohesiveness measure a walk verifies its
+// candidates under.
+type structure struct {
+	// slack is how far below k the core bound of the measure's communities
+	// lies: 0 for the k-core, 1 for k-clique and k-truss, whose communities
+	// lie in the (k−1)-core. A walk with slack clamps k to at least 2.
+	slack int
+	// community returns q's community at e.k inside cand, sorted, or nil.
+	community func(e *env, cand []graph.VertexID) []graph.VertexID
+}
+
+// kcoreStructure verifies by the Gk peel.
+var kcoreStructure = structure{community: (*env).peel}
+
+// walk is the one body of Dec, DecWithMiner, DecApprox and the clique and
+// truss searches, exact and approximate alike: mine the candidate levels
+// from q's neighbourhood, then walk them through approxLevels, verifying each
+// candidate with env.verify. The core bound is k − st.slack: a qualified
+// keyword set is contained by at least that many of q's neighbours of core
+// at least that bound, so the bitmask miner (keywordBits.mine, selected by a
+// nil mine) mines over those neighbours with that support; DecWithMiner's
+// ablation miners run through mineCandidates instead. When every level is
+// refuted the answer is the structure-only fallback, the walk's only read of
+// the tree's vertex lists: for the k-core a plain copy of q's k-ĉore;
+// otherwise the measure's community inside q's (k−1)-ĉore, verified inside a
+// probe.
+func walk(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options, ap Approx, st structure, mine Miner, probe prober) (res Result, b Bounds, err error) {
 	check, err := begin(ctx)
 	if err != nil {
 		return Result{}, Bounds{}, err
@@ -225,113 +227,49 @@ func decWalk(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Ke
 	if err != nil {
 		return Result{}, Bounds{}, err
 	}
-	if int(t.Core[q]) < k {
+	if st.slack > 0 && k < 2 {
+		k = 2
+	}
+	minCore := int32(k - st.slack)
+	if t.Core[q] < minCore {
 		return Result{}, Bounds{}, ErrNoKCore
 	}
 	e := t.newEnv(q, k, opt, check)
 	defer t.releaseScratch(e.sc)
-	fallback := func() Result { return fallbackResult(e.ops, t.SubtreeVertices(t.LocateRoot(q, int32(k)))) }
 	kb := &e.sc.bits
 	kb.reset(t.g, s)
 
 	var levels [][][]graph.KeywordID
 	if probe(func() {
 		if mine == nil {
-			levels = kb.mine(t.g, t.Core, q, k, check)
+			levels = kb.mine(t.g, t.Core, q, int(minCore), check)
 		} else {
-			levels = mineCandidates(t.g, q, k, s, mine, check)
+			levels = mineCandidates(t.g, q, int(minCore), s, mine, check)
 		}
 	}) {
 		return Result{}, Bounds{Upper: len(s), BudgetExhausted: true}, nil
 	}
-	if len(levels) == 0 {
-		return fallback(), exactBounds(0), nil
-	}
-	minCore := int32(k)
 	keep := func(v graph.VertexID) bool { return t.Core[v] >= minCore && kb.covers(t.g.Keywords(v)) }
 	best, b2 := approxLevels(levels, ap, probe, func(set []graph.KeywordID) []graph.VertexID {
 		kb.setWant(set)
-		return e.communityOfComponent(e.ops.ExpandComponentOf(q, keep))
+		return e.verify(st, keep)
 	})
 	if best != nil {
 		return Result{Communities: best, LabelSize: b2.Lower}, b2, nil
 	}
-	if b2.Upper == 0 && !b2.BudgetExhausted {
-		return fallback(), exactBounds(0), nil
+	if b2.Upper > 0 || b2.BudgetExhausted {
+		return Result{}, b2, nil
 	}
-	return Result{}, b2, nil
-}
-
-// CliqueApprox is the approximate counterpart of CliqueSearch under the same
-// contract as DecApprox.
-func CliqueApprox(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, ap Approx) (Result, Bounds, error) {
-	return scopedWalk(ctx, t, q, k, s, ap, cancel.CatchBudget, clique.CommunityOf)
-}
-
-// TrussApprox is the approximate counterpart of TrussSearchD (and of
-// TrussSearch when d ≤ 0) under the same contract as DecApprox.
-func TrussApprox(ctx context.Context, t *Tree, q graph.VertexID, k, d int, s []graph.KeywordID, ap Approx) (Result, Bounds, error) {
-	return scopedWalk(ctx, t, q, k, s, ap, cancel.CatchBudget, trussVerifier(d))
-}
-
-// A scopedVerifier returns q's community inside cand under the mode's
-// cohesiveness at k, or nil; clique.CommunityOf is one.
-type scopedVerifier func(g graph.View, cand []graph.VertexID, q graph.VertexID, k int, check *cancel.Checker) []graph.VertexID
-
-// scopedWalk is the shared walk of the (k−1)-core-scoped modes (clique,
-// truss), exact and approximate alike: mine with support k−1 over q's
-// neighbours of core ≥ k−1, probe levels through approxLevels, fall back to
-// the structure-only community when every level is refuted. Each candidate is verified on q's connected component of
-// the S'-filtered (k−1)-core, grown by local expansion as in decWalk: the
-// clique and truss communities containing q are confined to that component,
-// so feeding it instead of the whole filtered (k−1)-core changes nothing.
-func scopedWalk(
-	ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, ap Approx, probe prober, verify scopedVerifier,
-) (res Result, b Bounds, err error) {
-	check, err := begin(ctx)
-	if err != nil {
-		return Result{}, Bounds{}, err
+	scope := t.SubtreeVertices(t.LocateRoot(q, minCore))
+	if st.slack == 0 {
+		return fallbackResult(e.ops, scope), exactBounds(0), nil
 	}
-	meter := cancel.MeterFrom(ctx)
-	defer func() { check.Flush(); b.Work = meter.Spent() }()
-	defer cancel.Recover(&err)
-	s, err = normalizeQuery(t.g, q, k, s)
-	if err != nil {
-		return Result{}, Bounds{}, err
+	var comm []graph.VertexID
+	if probe(func() { comm = st.community(e, scope) }) {
+		return Result{}, Bounds{BudgetExhausted: true}, nil
 	}
-	if k < 2 {
-		k = 2
-	}
-	if int(t.Core[q]) < k-1 {
+	if comm == nil {
 		return Result{}, Bounds{}, ErrNoKCore
 	}
-	sc := t.acquireScratch(check)
-	defer t.releaseScratch(sc)
-	kb := &sc.bits
-	kb.reset(t.g, s)
-
-	var levels [][][]graph.KeywordID
-	if probe(func() { levels = kb.mine(t.g, t.Core, q, k-1, check) }) {
-		return Result{}, Bounds{Upper: len(s), BudgetExhausted: true}, nil
-	}
-	minCore := int32(k - 1)
-	keep := func(v graph.VertexID) bool { return t.Core[v] >= minCore && kb.covers(t.g.Keywords(v)) }
-	best, b2 := approxLevels(levels, ap, probe, func(set []graph.KeywordID) []graph.VertexID {
-		kb.setWant(set)
-		return verify(t.g, sc.ops.ExpandComponentOf(q, keep), q, k, check)
-	})
-	if best != nil {
-		return Result{Communities: best, LabelSize: b2.Lower}, b2, nil
-	}
-	if b2.Upper == 0 && !b2.BudgetExhausted {
-		var comm []graph.VertexID
-		if probe(func() { comm = verify(t.g, t.SubtreeVertices(t.LocateRoot(q, int32(k-1))), q, k, check) }) {
-			return Result{}, Bounds{BudgetExhausted: true}, nil
-		}
-		if comm == nil {
-			return Result{}, Bounds{}, ErrNoKCore
-		}
-		return fallbackResult(sc.ops, comm), exactBounds(0), nil
-	}
-	return Result{}, b2, nil
+	return fallbackResult(e.ops, comm), exactBounds(0), nil
 }

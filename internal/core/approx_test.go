@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/acq-search/acq/internal/cancel"
-	"github.com/acq-search/acq/internal/clique"
 	"github.com/acq-search/acq/internal/graph"
 	"github.com/acq-search/acq/internal/testutil"
 )
@@ -31,17 +30,17 @@ func approxRunners(tr *Tree, q graph.VertexID, k int, s []graph.KeywordID) map[s
 		"clique": {
 			approx: func(ap Approx) (Result, Bounds, error) { return CliqueApprox(bgCtx, tr, q, k, s, ap) },
 			exact:  func() (Result, error) { return CliqueSearch(bgCtx, tr, q, k, s) },
-			ref:    func() (Result, error) { return refScoped(bgCtx, tr, q, k, s, clique.CommunityOf) },
+			ref:    func() (Result, error) { return refScoped(bgCtx, tr, q, k, s, cliqueStructure) },
 		},
 		"truss": {
 			approx: func(ap Approx) (Result, Bounds, error) { return TrussApprox(bgCtx, tr, q, k, 0, s, ap) },
 			exact:  func() (Result, error) { return TrussSearch(bgCtx, tr, q, k, s) },
-			ref:    func() (Result, error) { return refScoped(bgCtx, tr, q, k, s, trussVerifier(0)) },
+			ref:    func() (Result, error) { return refScoped(bgCtx, tr, q, k, s, trussStructure(0)) },
 		},
 		"truss-d": {
 			approx: func(ap Approx) (Result, Bounds, error) { return TrussApprox(bgCtx, tr, q, k, 2, s, ap) },
 			exact:  func() (Result, error) { return TrussSearchD(bgCtx, tr, q, k, 2, s) },
-			ref:    func() (Result, error) { return refScoped(bgCtx, tr, q, k, s, trussVerifier(2)) },
+			ref:    func() (Result, error) { return refScoped(bgCtx, tr, q, k, s, trussStructure(2)) },
 		},
 	}
 }
@@ -66,7 +65,8 @@ func randomQuerySet(rng *rand.Rand, g graph.View, q graph.VertexID) []graph.Keyw
 
 // TestApproxZeroEpsilonMatchesExact: the zero Approx with no budget and the
 // exact entry points must both reproduce the global-scan reference byte for
-// byte, including errors, and the walker must report tight exact bounds.
+// byte, including errors, and the walker must report tight exact bounds
+// (matchReference).
 func TestApproxZeroEpsilonMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 120; trial++ {
@@ -75,31 +75,8 @@ func TestApproxZeroEpsilonMatchesExact(t *testing.T) {
 		q := graph.VertexID(rng.Intn(g.NumVertices()))
 		k := 1 + rng.Intn(4)
 		s := randomQuerySet(rng, g, q)
-		for name, run := range approxRunners(tr, q, k, s) {
-			want, wantErr := run.ref()
-			got, b, gotErr := run.approx(Approx{})
-			exact, exactErr := run.exact()
-			for _, c := range []struct {
-				who string
-				res Result
-				err error
-			}{{"approx ε=0", got, gotErr}, {"exact", exact, exactErr}} {
-				if (c.err == nil) != (wantErr == nil) || (c.err != nil && c.err.Error() != wantErr.Error()) {
-					t.Fatalf("%s trial %d S=%v: %s err = %v, reference err = %v", name, trial, s, c.who, c.err, wantErr)
-				}
-				if !reflect.DeepEqual(c.res, want) {
-					t.Fatalf("%s trial %d S=%v: %s result differs from the reference\ngot:       %+v\nreference: %+v", name, trial, s, c.who, c.res, want)
-				}
-			}
-			if gotErr != nil {
-				continue
-			}
-			if !b.Exact || b.Lower != want.LabelSize || b.Upper != want.LabelSize {
-				t.Fatalf("%s trial %d: bounds = %+v, want exact at %d", name, trial, b, want.LabelSize)
-			}
-			if b.BudgetExhausted || b.Truncated {
-				t.Fatalf("%s trial %d: spurious exhaustion/truncation: %+v", name, trial, b)
-			}
+		for _, mode := range []string{"dec", "clique", "truss", "truss-d"} {
+			matchReference(t, tr, mode, q, k, s, 0)
 		}
 	}
 }

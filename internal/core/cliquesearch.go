@@ -17,8 +17,15 @@ import (
 // support k−1 (a member of a k-clique has k−1 clique neighbours), and
 // verified from the largest candidates downward. A k-clique is contained in
 // the (k−1)-core, so each candidate is verified on q's component of the
-// keyword-filtered (k−1)-core (see scopedWalk). k ≥ 2.
+// keyword-filtered (k−1)-core (see env.verify). k ≥ 2. A verification whose
+// clique enumeration hits clique.MaxCliques proves nothing, so it ends the
+// search with an error wrapping cancel.ErrBudget, never with ErrNoKCore.
 func CliqueSearch(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID) (Result, error) {
-	res, _, err := scopedWalk(ctx, t, q, k, s, Approx{}, runToEnd, clique.CommunityOf)
+	res, _, err := walk(ctx, t, q, k, s, DefaultOptions(), Approx{}, cliqueStructure, nil, runToEnd)
 	return res, err
 }
+
+// cliqueStructure verifies by k-clique percolation.
+var cliqueStructure = structure{slack: 1, community: func(e *env, cand []graph.VertexID) []graph.VertexID {
+	return clique.CommunityOf(e.ops, cand, e.q, e.k, e.check)
+}}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/acq-search/acq/internal/cancel"
 	"github.com/acq-search/acq/internal/graph"
 	"github.com/acq-search/acq/internal/testutil"
 )
@@ -98,5 +99,43 @@ func TestCliqueSearchSoundQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// completeMultipartite returns the complete graph of parts parts of size
+// vertices each, every vertex carrying the keyword x: a maximal clique takes
+// one vertex from each part, so there are size^parts of them.
+func completeMultipartite(parts, size int) *graph.Graph {
+	b := graph.NewBuilder()
+	n := parts * size
+	for v := 0; v < n; v++ {
+		b.AddVertex("", "x")
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if u/size != v/size {
+				b.AddEdge(graph.VertexID(u), graph.VertexID(v))
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestCliqueCapIsNotARefutation: a verification whose clique enumeration
+// hits clique.MaxCliques proves nothing, so it must neither refute its level
+// nor end in ErrNoKCore. On K_{3,…,3} with 12 parts (3^12 maximal cliques,
+// core 33) q lies in a 12-clique; the exact search reports an exhausted
+// budget and the approximate one the bracket it could not narrow.
+func TestCliqueCapIsNotARefutation(t *testing.T) {
+	tr := BuildAdvanced(completeMultipartite(12, 3))
+	if _, err := CliqueSearch(bgCtx, tr, 0, 3, nil); !errors.Is(err, cancel.ErrBudget) || errors.Is(err, ErrNoKCore) {
+		t.Fatalf("CliqueSearch err = %v, want cancel.ErrBudget", err)
+	}
+	res, b, err := CliqueApprox(bgCtx, tr, 0, 3, nil, Approx{})
+	if err != nil || len(res.Communities) != 0 {
+		t.Fatalf("CliqueApprox = %+v, %v; want no communities and no error", res, err)
+	}
+	if want := (Bounds{Lower: 0, Upper: 1, BudgetExhausted: true}); b != want {
+		t.Fatalf("CliqueApprox bounds = %+v, want %+v", b, want)
 	}
 }

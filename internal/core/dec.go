@@ -29,9 +29,10 @@ import (
 // Verification departs from Algorithm 4 in how a candidate S' is checked:
 // instead of filtering the k-ĉore's R̂ buckets, it grows q's connected
 // component of {v : core(v) ≥ k ∧ S' ⊆ W(v)} by BFS from q (local expansion,
-// see decWalk). The community is the same; the cost follows the community's
-// neighbourhood instead of the size of the k-ĉore, and the keyword test of
-// a vertex is one AND of its mask over S against the candidate's.
+// see env.verify). The community is the same; the cost follows the
+// community's neighbourhood instead of the size of the k-ĉore, and the
+// keyword test of a vertex is one AND of its mask over S against the
+// candidate's.
 // DecWithMiner mines with FP-Growth or Apriori over every neighbour instead,
 // the paper's miner ablation: more candidates, the same answer.
 //
@@ -39,7 +40,7 @@ import (
 // checkpoints inside the peeling/BFS loops, and a canceled search returns an
 // error wrapping cancel.ErrCanceled and context.Cause(ctx).
 func Dec(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options) (Result, error) {
-	res, _, err := decWalk(ctx, t, q, k, s, opt, Approx{}, nil, runToEnd)
+	res, _, err := walk(ctx, t, q, k, s, opt, Approx{}, kcoreStructure, nil, runToEnd)
 	return res, err
 }
 
@@ -52,7 +53,7 @@ type Miner func(txns [][]fpm.Item, minSupport int) []fpm.Itemset
 // ablation bench, and the reference the bitmask miner is tested against.
 // The answer is Dec's.
 func DecWithMiner(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options, mine Miner) (Result, error) {
-	res, _, err := decWalk(ctx, t, q, k, s, opt, Approx{}, mine, runToEnd)
+	res, _, err := walk(ctx, t, q, k, s, opt, Approx{}, kcoreStructure, mine, runToEnd)
 	return res, err
 }
 
@@ -76,18 +77,19 @@ func CommunitiesByLabelSize(ctx context.Context, t *Tree, q graph.VertexID, k in
 	}
 	e := t.newEnv(q, k, opt, check)
 	defer t.releaseScratch(e.sc)
-	kRoot := t.LocateRoot(q, int32(k))
-	e.sc.bits.reset(t.g, s)
-	levels := e.sc.bits.mine(t.g, t.Core, q, k, check)
+	kb := &e.sc.bits
+	kb.reset(t.g, s)
+	levels := kb.mine(t.g, t.Core, q, k, check)
 	if maxSize > 0 && len(levels) > maxSize {
 		levels = levels[:maxSize]
 	}
-	sub := t.SubtreeVertices(kRoot)
+	minCore := int32(k)
+	keep := func(v graph.VertexID) bool { return t.Core[v] >= minCore && kb.covers(t.g.Keywords(v)) }
 	out = make([][]Community, len(levels))
 	for i, bucket := range levels {
 		for _, set := range bucket {
-			cand := e.ops.FilterByKeywords(sub, set)
-			if comm := e.communityOf(cand); comm != nil {
+			kb.setWant(set)
+			if comm := e.verify(kcoreStructure, keep); comm != nil {
 				out[i] = append(out[i], Community{Label: set, Vertices: comm})
 			}
 		}

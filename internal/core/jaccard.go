@@ -22,7 +22,7 @@ import (
 // sets are dominated by unrelated keywords — the per-pair notion behind the
 // paper's CPJ quality metric, promoted to a query predicate. Like SWT, the
 // single candidate is verified by local expansion from q through vertices of
-// core ≥ k (expandCandidate), so similarity is computed only on the
+// core ≥ k (env.verify), so similarity is computed only on the
 // community's neighbourhood.
 func SJ(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, tau float64) (res Result, err error) {
 	check, err := begin(ctx)
@@ -40,7 +40,7 @@ func SJ(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keyword
 	if int(t.Core[q]) < k {
 		return Result{}, ErrNoKCore
 	}
-	return singleResult(s, t.expandCandidate(q, k, jaccardRule(t.g, s, tau), check)), nil
+	return singleResult(s, t.verifyRule(q, k, jaccardRule(t.g, s, tau), check)), nil
 }
 
 // BasicGJ is the index-free counterpart of SJ filtering inside the k-ĉore.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -174,6 +175,43 @@ func TestDecAllocsPerQuery(t *testing.T) {
 	}
 }
 
+// TestScopedAllocsPerQuery pins the allocations of exact clique and truss
+// queries the way TestDecAllocsPerQuery pins core ones: the same 100 seeded
+// vertices of core ≥ 6 on dblp@0.5, at k = 6 with S = W(q). ErrNoKCore is an
+// answer here, since q can lie in no 6-clique or 6-truss.
+func TestScopedAllocsPerQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	cfg, err := datagen.Preset("dblp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := BuildAdvanced(datagen.Generate(cfg.Scale(0.5)).Freeze(1))
+	qs := presetQueries(t, tr, 100, 6)
+	for _, c := range []struct {
+		name      string
+		maxAllocs float64
+		search    func(q graph.VertexID) (Result, error)
+	}{
+		{"clique", 233, func(q graph.VertexID) (Result, error) { return CliqueSearch(bgCtx, tr, q, 6, nil) }},
+		{"truss", 162, func(q graph.VertexID) (Result, error) { return TrussSearch(bgCtx, tr, q, 6, nil) }},
+	} {
+		perRun := testing.AllocsPerRun(2, func() {
+			for _, q := range qs {
+				if _, err := c.search(q); err != nil && !errors.Is(err, ErrNoKCore) {
+					t.Fatal(err)
+				}
+			}
+		})
+		perQuery := perRun / float64(len(qs))
+		t.Logf("dblp@0.5: %.2f allocations per exact %s query", perQuery, c.name)
+		if perQuery > c.maxAllocs {
+			t.Fatalf("exact %s allocates %.2f objects per query, want ≤ %g", c.name, perQuery, c.maxAllocs)
+		}
+	}
+}
+
 // TestDecCandidatesVerified: mining over q's neighbours of core ≥ k verifies
 // at least 5× fewer candidates than mining over all of them, and changes no
 // answer. 300 exact walks at k = 6 on dblp@0.5 run twice through
@@ -197,7 +235,7 @@ func TestDecCandidatesVerified(t *testing.T) {
 			return approxLevels(levels, Approx{}, runToEnd, func(set []graph.KeywordID) []graph.VertexID {
 				*verified++
 				kb.setWant(set)
-				return e.communityOfComponent(e.ops.ExpandComponentOf(q, keep))
+				return e.verify(kcoreStructure, keep)
 			})
 		}
 		got, gotB := walk(kb.mine(tr.g, tr.Core, q, k, nil), &served)

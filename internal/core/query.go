@@ -127,26 +127,41 @@ func normalizeQuery(g graph.View, q graph.VertexID, k int, s []graph.KeywordID) 
 }
 
 // communityOf runs the Gk[S'] pipeline on a candidate vertex set that already
-// satisfies the keyword constraint: take q's connected component, apply the
-// Lemma 3 prune, peel to minimum degree k, and re-take q's component. The
-// result is sorted; nil means no qualifying community.
+// satisfies the keyword constraint: take q's connected component, then peel
+// it. The result is sorted; nil means no qualifying community.
 func (e *env) communityOf(cand []graph.VertexID) []graph.VertexID {
 	comp := e.ops.ComponentOf(cand, e.q)
 	if comp == nil {
 		return nil
 	}
-	if e.opt.UseLemma3 {
-		m := e.ops.InducedEdgeCount(comp)
-		if !kcore.CanContainKCore(len(comp), m, e.k) {
-			return nil
-		}
-	}
-	surv := e.ops.PeelToMinDegree(comp, e.k)
-	res := e.ops.ComponentOf(surv, e.q)
-	if res == nil {
+	return e.peel(comp)
+}
+
+// peel is the rest of the Gk[S'] pipeline on q's connected component comp:
+// apply the Lemma 3 prune, peel to minimum degree k, re-take q's component
+// and sort it. nil means no qualifying community.
+func (e *env) peel(comp []graph.VertexID) []graph.VertexID {
+	if e.opt.UseLemma3 && !kcore.CanContainKCore(len(comp), e.ops.InducedEdgeCount(comp), e.k) {
 		return nil
 	}
-	return e.ops.SortSet(res)
+	return e.ops.SortSet(e.ops.ComponentOf(e.ops.PeelToMinDegree(comp, e.k), e.q))
+}
+
+// verify is the one candidate verifier of the index-backed searches (the
+// walks, SWT, SJ and CommunitiesByLabelSize): q's community under st inside
+// q's connected component of {v : keep(v)}, sorted, or nil. keep holds the
+// core bound k − st.slack as well as the candidate's keyword rule, so the
+// expansion tests each vertex with one call. The component is grown by BFS
+// from q (local expansion) instead of being filtered out of q's ĉore: every
+// vertex that passes keep and is reachable from q through such vertices lies
+// in q's ĉore, so the community is the one a scan of the whole ĉore finds,
+// at a cost that follows the community's neighbourhood instead. The
+// expansion never tests q itself, hence the keep(q) guard.
+func (e *env) verify(st structure, keep func(graph.VertexID) bool) []graph.VertexID {
+	if !keep(e.q) {
+		return nil
+	}
+	return st.community(e, e.ops.ExpandComponentOf(e.q, keep))
 }
 
 // fallbackResult wraps the plain k-ĉore of q as a LabelSize-0 result. It

@@ -3,10 +3,14 @@ package core
 import (
 	"context"
 	"math"
+	"math/rand"
+	"reflect"
+	"testing"
 
 	"github.com/acq-search/acq/internal/cancel"
 	"github.com/acq-search/acq/internal/fpm"
 	"github.com/acq-search/acq/internal/graph"
+	"github.com/acq-search/acq/internal/testutil"
 )
 
 // Reference evaluators: the global-scan verification the exact entry points
@@ -70,8 +74,9 @@ func refDec(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Key
 }
 
 // refScoped is the (k−1)-core-scoped search of the clique and truss modes
-// with the whole keyword-filtered (k−1)-core as each candidate's scope.
-func refScoped(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, verify scopedVerifier) (res Result, err error) {
+// with the whole keyword-filtered (k−1)-core as each candidate's scope,
+// handed straight to the structure's community function.
+func refScoped(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, st structure) (res Result, err error) {
 	check, err := begin(ctx)
 	if err != nil {
 		return Result{}, err
@@ -88,12 +93,12 @@ func refScoped(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.
 		return Result{}, ErrNoKCore
 	}
 	scope := t.SubtreeVertices(t.LocateRoot(q, int32(k-1)))
-	ops := graph.NewSetOps(t.g)
+	e := newEnv(t.g, q, k, DefaultOptions(), check)
 	levels := mineCandidates(t.g, q, k-1, s, fpm.FPGrowth, check)
 	for l := len(levels); l >= 1; l-- {
 		var out []Community
 		for _, set := range levels[l-1] {
-			if comm := verify(t.g, ops.FilterByKeywords(scope, set), q, k, check); comm != nil {
+			if comm := st.community(e, e.ops.FilterByKeywords(scope, set)); comm != nil {
 				out = append(out, Community{Label: set, Vertices: comm})
 			}
 		}
@@ -101,11 +106,11 @@ func refScoped(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.
 			return Result{Communities: out, LabelSize: l}, nil
 		}
 	}
-	comm := verify(t.g, scope, q, k, check)
+	comm := st.community(e, scope)
 	if comm == nil {
 		return Result{}, ErrNoKCore
 	}
-	return fallbackResult(ops, comm), nil
+	return fallbackResult(e.ops, comm), nil
 }
 
 // refSWT is Variant 2 as a k-ĉore scan: filter every vertex of q's k-ĉore
@@ -166,4 +171,85 @@ func refSJ(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keyw
 		}
 	}
 	return singleResult(s, newEnv(t.g, q, k, DefaultOptions(), check).communityOf(cand)), nil
+}
+
+// walkModes are the modes matchReference checks: every mode env.verify
+// serves, each with its own reference.
+var walkModes = []string{"dec", "clique", "truss", "truss-d", "swt", "sj"}
+
+// matchReference runs one query through a mode's served entry points and
+// fails t unless each answer, error included, is the reference's. The walks
+// (dec, clique, truss, truss-d) run at the zero Approx and through their
+// exact entry point against refDec or refScoped, and the walk must report
+// tight exact bounds; SWT at θ = param and SJ at τ = param run against refSWT
+// and refSJ. It returns the reference's answer.
+func matchReference(t testing.TB, tr *Tree, mode string, q graph.VertexID, k int, s []graph.KeywordID, param float64) Result {
+	t.Helper()
+	type answer struct {
+		who string
+		res Result
+		err error
+	}
+	var want Result
+	var wantErr error
+	var got []answer
+	switch mode {
+	case "swt":
+		want, wantErr = refSWT(bgCtx, tr, q, k, s, param)
+		res, err := SWT(bgCtx, tr, q, k, s, param)
+		got = append(got, answer{"SWT", res, err})
+	case "sj":
+		want, wantErr = refSJ(bgCtx, tr, q, k, s, param)
+		res, err := SJ(bgCtx, tr, q, k, s, param)
+		got = append(got, answer{"SJ", res, err})
+	default:
+		run := approxRunners(tr, q, k, s)[mode]
+		want, wantErr = run.ref()
+		res, b, err := run.approx(Approx{})
+		if err == nil && (!b.Exact || b.Lower != want.LabelSize || b.Upper != want.LabelSize || b.BudgetExhausted || b.Truncated) {
+			t.Fatalf("%s(q=%d k=%d S=%v): bounds = %+v, want exact at %d", mode, q, k, s, b, want.LabelSize)
+		}
+		exact, exactErr := run.exact()
+		got = append(got, answer{"approx ε=0", res, err}, answer{"exact", exact, exactErr})
+	}
+	for _, c := range got {
+		if (c.err == nil) != (wantErr == nil) || (c.err != nil && c.err.Error() != wantErr.Error()) {
+			t.Fatalf("%s(q=%d k=%d S=%v param=%g): %s err = %v, reference err = %v", mode, q, k, s, param, c.who, c.err, wantErr)
+		}
+		if !reflect.DeepEqual(c.res, want) {
+			t.Fatalf("%s(q=%d k=%d S=%v param=%g): %s result differs from the reference\ngot:       %+v\nreference: %+v", mode, q, k, s, param, c.who, c.res, want)
+		}
+	}
+	return want
+}
+
+// FuzzWalkMatchesReference holds every mode env.verify serves to its
+// independent reference (matchReference) on random graphs of 5 to 64
+// vertices: the query vertex, k ∈ [1, 5], the mode and θ or τ ∈ (0, 1] come
+// from the input. The low six bits of sBits pick S among the six dictionary
+// words, so S can hold words q lacks or be empty; bit 15 asks for S = nil
+// (W(q) for every mode but SWT, for which it is the empty set).
+func FuzzWalkMatchesReference(f *testing.F) {
+	for i := range walkModes {
+		f.Add(int64(i), uint8(30), uint8(24), uint8(i), uint8(i), uint8(50), uint16(1<<15))
+		f.Add(int64(i+10), uint8(60), uint8(40), uint8(1), uint8(i), uint8(20), uint16(0x15))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nB, degB, kB, modeB, paramB uint8, sBits uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + int(nB)%60
+		g := testutil.RandomGraph(rng, n, 1+float64(degB%64)/8, 6, 4)
+		tr := BuildAdvanced(g)
+		q := graph.VertexID(rng.Intn(n))
+		var s []graph.KeywordID
+		if sBits&(1<<15) == 0 {
+			s = []graph.KeywordID{}
+			for w := 0; w < g.Dict().Size() && w < 6; w++ {
+				if sBits&(1<<w) != 0 {
+					s = append(s, graph.KeywordID(w))
+				}
+			}
+		}
+		mode := walkModes[int(modeB)%len(walkModes)]
+		matchReference(t, tr, mode, q, 1+int(kB)%5, s, float64(1+int(paramB)%100)/100)
+	})
 }

@@ -61,12 +61,12 @@ func TestDecAllocatesLessThanNPerQuery(t *testing.T) {
 	}
 }
 
-// TestWalkersReadSubtreeOnlyForFallback: the walkers materialise the k-ĉore
-// (SubtreeVertices) only for a fallback answer, and the expansion-verified
-// variants (SWT, SJ) never do. A clone whose nodes carry no vertex lists
-// makes SubtreeVertices return nothing while core numbers and core-locating
-// still work, so every non-fallback answer must come out of the stripped tree
-// unchanged.
+// TestWalkersReadSubtreeOnlyForFallback: every caller of env.verify — the
+// core, clique and truss walks, SWT, SJ and CommunitiesByLabelSize —
+// materialises the ĉore (SubtreeVertices) only for a walk's fallback answer.
+// A clone whose nodes carry no vertex lists makes SubtreeVertices return
+// nothing while core numbers and core-locating still work, so every
+// non-fallback answer must come out of the stripped tree unchanged.
 func TestWalkersReadSubtreeOnlyForFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	checked := map[string]int{}
@@ -98,10 +98,26 @@ func TestWalkersReadSubtreeOnlyForFallback(t *testing.T) {
 				t.Fatalf("%s trial %d: answer read the subtree vertex lists: got %+v (%v), want %+v", name, trial, got, err, want)
 			}
 		}
+		want, err := CommunitiesByLabelSize(bgCtx, tr, q, k, s, 0, DefaultOptions())
+		if err != nil {
+			continue
+		}
+		for _, level := range want {
+			if len(level) > 0 {
+				checked["by-label-size"]++
+				break
+			}
+		}
+		if got, err := CommunitiesByLabelSize(bgCtx, stripped, q, k, s, 0, DefaultOptions()); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("CommunitiesByLabelSize trial %d: read the subtree vertex lists: got %+v (%v), want %+v", trial, got, err, want)
+		}
 	}
-	if checked["dec"] == 0 || checked["swt"] == 0 || checked["sj"] == 0 {
-		t.Fatalf("too few answers exercised: %v", checked)
+	for _, name := range []string{"dec", "clique", "truss-d", "swt", "sj", "by-label-size"} {
+		if checked[name] == 0 {
+			t.Fatalf("no non-empty %s answer exercised: %v", name, checked)
+		}
 	}
+	t.Logf("non-empty answers checked: %v", checked)
 }
 
 // TestScratchPoolPerView: every tree constructor starts its own pool, the

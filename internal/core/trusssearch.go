@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"github.com/acq-search/acq/internal/cancel"
 	"github.com/acq-search/acq/internal/graph"
 	"github.com/acq-search/acq/internal/truss"
 )
@@ -16,34 +15,32 @@ import (
 // truss peeling and distance filtering until a fixpoint. d ≤ 0 means
 // unbounded (plain TrussSearch).
 func TrussSearchD(ctx context.Context, t *Tree, q graph.VertexID, k, d int, s []graph.KeywordID) (Result, error) {
-	res, _, err := scopedWalk(ctx, t, q, k, s, Approx{}, runToEnd, trussVerifier(d))
+	res, _, err := walk(ctx, t, q, k, s, DefaultOptions(), Approx{}, trussStructure(d), nil, runToEnd)
 	return res, err
 }
 
-// trussVerifier verifies a candidate by truss peeling, alternated with
-// in-community distance filtering when d > 0.
-func trussVerifier(d int) scopedVerifier {
-	if d > 0 {
-		return func(g graph.View, cand []graph.VertexID, q graph.VertexID, k int, check *cancel.Checker) []graph.VertexID {
-			return kdTrussFixpoint(g, cand, q, k, d, check)
+// trussStructure verifies by truss peeling, alternated with in-community
+// distance filtering when d > 0.
+func trussStructure(d int) structure {
+	return structure{slack: 1, community: func(e *env, cand []graph.VertexID) []graph.VertexID {
+		if d > 0 {
+			return e.kdTrussFixpoint(cand, d)
 		}
-	}
-	return func(g graph.View, cand []graph.VertexID, q graph.VertexID, k int, check *cancel.Checker) []graph.VertexID {
-		comm, _ := truss.CommunityOf(g, cand, q, k, check)
+		comm, _ := truss.CommunityOf(e.ops, cand, e.q, e.k, e.check)
 		return comm
-	}
+	}}
 }
 
 // kdTrussFixpoint alternates truss peeling with in-community distance
 // filtering until both constraints hold simultaneously.
-func kdTrussFixpoint(g graph.View, cand []graph.VertexID, q graph.VertexID, k, d int, check *cancel.Checker) []graph.VertexID {
+func (e *env) kdTrussFixpoint(cand []graph.VertexID, d int) []graph.VertexID {
 	cur := cand
 	for {
-		comm, edges := truss.CommunityOf(g, cur, q, k, check)
+		comm, edges := truss.CommunityOf(e.ops, cur, e.q, e.k, e.check)
 		if comm == nil {
 			return nil
 		}
-		near := ballWithin(comm, edges, q, d)
+		near := ballWithin(comm, edges, e.q, d)
 		if len(near) == len(comm) {
 			return comm
 		}

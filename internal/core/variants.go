@@ -41,8 +41,8 @@ func SW(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keyword
 
 // SWT answers Variant 2 with the CL-tree (Appendix G: Search by keyWords with
 // Threshold): members must contain at least ⌈θ·|S|⌉ keywords of S. The
-// single candidate is verified by local expansion from q (expandCandidate),
-// so the cost follows the community's neighbourhood, not q's k-ĉore.
+// single candidate is verified by local expansion from q (env.verify), so
+// the cost follows the community's neighbourhood, not q's k-ĉore.
 func SWT(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, theta float64) (res Result, err error) {
 	check, err := begin(ctx)
 	if err != nil {
@@ -59,26 +59,17 @@ func SWT(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywor
 	if int(t.Core[q]) < k {
 		return Result{}, ErrNoKCore
 	}
-	return singleResult(s, t.expandCandidate(q, k, thresholdRule(t.g, s, theta), check)), nil
+	return singleResult(s, t.verifyRule(q, k, thresholdRule(t.g, s, theta), check)), nil
 }
 
-// expandCandidate verifies the single candidate of a keyword-predicate
-// variant (SWT, SJ) the way the walkers verify theirs: it grows q's
-// connected component of {v : core(v) ≥ k ∧ keep(v)} by BFS and refines it
-// with the Gk pipeline. That component is q's component of the keep-filtered
-// k-ĉore, so the community is the one a scan of the whole k-ĉore finds.
-// ExpandComponentOf never tests q itself, hence the keep(q) guard. nil means
-// no community.
-func (t *Tree) expandCandidate(q graph.VertexID, k int, keep func(graph.VertexID) bool, check *cancel.Checker) []graph.VertexID {
-	if !keep(q) {
-		return nil
-	}
+// verifyRule verifies the single candidate of a keyword-predicate variant
+// (SWT, SJ) with env.verify: q's community among the vertices of core ≥ k
+// that pass rule. nil means no community.
+func (t *Tree) verifyRule(q graph.VertexID, k int, rule func(graph.VertexID) bool, check *cancel.Checker) []graph.VertexID {
 	e := t.newEnv(q, k, DefaultOptions(), check)
 	defer t.releaseScratch(e.sc)
 	minCore := int32(k)
-	return e.communityOfComponent(e.ops.ExpandComponentOf(q, func(v graph.VertexID) bool {
-		return t.Core[v] >= minCore && keep(v)
-	}))
+	return e.verify(kcoreStructure, func(v graph.VertexID) bool { return t.Core[v] >= minCore && rule(v) })
 }
 
 // BasicGV1 answers Variant 1 without an index (Appendix G, Algorithm 10):

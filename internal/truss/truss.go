@@ -200,21 +200,23 @@ func forEachCommonNeighbor(g graph.View, u, v graph.VertexID, fn func(w graph.Ve
 }
 
 // CommunityOf returns the connected k-truss community containing q inside
-// the subgraph induced by cand: edges with in-subgraph support < k−2 are
-// peeled iteratively, then q's connected component over the surviving edges
-// is returned (vertices sorted) together with those surviving edges. A
-// k-truss is an edge subgraph — an edge between two community members that
-// was peeled is NOT part of the community even though both endpoints are.
+// the subgraph induced by cand, over ops's view: edges with in-subgraph
+// support < k−2 are peeled iteratively, then q's connected component over
+// the surviving edges is returned (vertices sorted with ops.SortSet)
+// together with those surviving edges. A k-truss is an edge subgraph — an
+// edge between two community members that was peeled is NOT part of the
+// community even though both endpoints are.
 // nil vertices means q survives in no such subgraph. k must be ≥ 2; k=2
 // degenerates to q's connected component.
 //
 // check (nil for uncancellable callers) is ticked per edge examined during
 // support counting and peeling, so a deadline can stop a truss verification
 // mid-peel.
-func CommunityOf(g graph.View, cand []graph.VertexID, q graph.VertexID, k int, check *cancel.Checker) ([]graph.VertexID, [][2]graph.VertexID) {
+func CommunityOf(ops *graph.SetOps, cand []graph.VertexID, q graph.VertexID, k int, check *cancel.Checker) ([]graph.VertexID, [][2]graph.VertexID) {
 	if k < 2 {
 		k = 2
 	}
+	g := ops.Graph()
 	in := map[graph.VertexID]bool{}
 	for _, v := range cand {
 		check.Tick(1)
@@ -260,20 +262,22 @@ func CommunityOf(g graph.View, cand []graph.VertexID, q graph.VertexID, k int, c
 		})
 		return s
 	}
-	queue := make([]edge, 0)
-	for e := range alive {
-		check.Tick(1)
-		sup[e] = countSupport(e)
-		if sup[e] < k-2 {
-			queue = append(queue, e)
+	// The peel queue starts with the weak edges in discovery order over
+	// cand; the peeled k-truss is unique, so the order changes nothing but
+	// the work done.
+	var queue []edge
+	for _, u := range cand {
+		for _, v := range g.Neighbors(u) {
+			if u < v && in[v] {
+				check.Tick(1)
+				e := edge{u, v}
+				sup[e] = countSupport(e)
+				if sup[e] < k-2 {
+					queue = append(queue, e)
+				}
+			}
 		}
 	}
-	sort.Slice(queue, func(i, j int) bool { // determinism over map order
-		if queue[i].u != queue[j].u {
-			return queue[i].u < queue[j].u
-		}
-		return queue[i].v < queue[j].v
-	})
 	for len(queue) > 0 {
 		e := queue[0]
 		queue = queue[1:]
@@ -324,7 +328,7 @@ func CommunityOf(g graph.View, cand []graph.VertexID, q graph.VertexID, k int, c
 			}
 		}
 	}
-	sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
+	comp = ops.SortSet(comp)
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i][0] != edges[j][0] {
 			return edges[i][0] < edges[j][0]

@@ -192,7 +192,7 @@ func TestCommunityOf(t *testing.T) {
 	e, _ := g.VertexByLabel("E")
 
 	// 4-truss containing A = the K4 (6 edges).
-	comm, edges := CommunityOf(g, all, a, 4, nil)
+	comm, edges := CommunityOf(graph.NewSetOps(g), all, a, 4, nil)
 	if got := testutil.LabelSet(g, comm); len(got) != 4 || !got["D"] {
 		t.Fatalf("4-truss of A = %v", got)
 	}
@@ -200,23 +200,23 @@ func TestCommunityOf(t *testing.T) {
 		t.Fatalf("4-truss edges = %d, want 6", len(edges))
 	}
 	// E is in no 4-truss.
-	if got, _ := CommunityOf(g, all, e, 4, nil); got != nil {
+	if got, _ := CommunityOf(graph.NewSetOps(g), all, e, 4, nil); got != nil {
 		t.Fatal("E must not be in a 4-truss")
 	}
 	// 3-truss containing E: E-C-D triangle attaches to the K4 through the
 	// shared C-D edge, so the 3-truss community of E includes A..E.
-	comm, _ = CommunityOf(g, all, e, 3, nil)
+	comm, _ = CommunityOf(graph.NewSetOps(g), all, e, 3, nil)
 	if got := testutil.LabelSet(g, comm); len(got) != 5 || !got["E"] {
 		t.Fatalf("3-truss of E = %v", got)
 	}
 	// Candidate restriction is honoured.
 	abc := testutil.Labels(g, "A", "B", "C")
-	comm, _ = CommunityOf(g, abc, a, 3, nil)
+	comm, _ = CommunityOf(graph.NewSetOps(g), abc, a, 3, nil)
 	if got := testutil.LabelSet(g, comm); len(got) != 3 {
 		t.Fatalf("restricted 3-truss = %v", got)
 	}
 	// q outside cand.
-	if got, _ := CommunityOf(g, abc, e, 3, nil); got != nil {
+	if got, _ := CommunityOf(graph.NewSetOps(g), abc, e, 3, nil); got != nil {
 		t.Fatal("q outside cand must be nil")
 	}
 }
@@ -233,7 +233,7 @@ func TestCommunityOfSoundQuick(t *testing.T) {
 		}
 		q := graph.VertexID(rng.Intn(g.NumVertices()))
 		k := 3 + rng.Intn(2)
-		comm, edges := CommunityOf(g, all, q, k, nil)
+		comm, edges := CommunityOf(graph.NewSetOps(g), all, q, k, nil)
 		if comm == nil {
 			return edges == nil
 		}

@@ -146,8 +146,9 @@ type Result struct {
 	// Exact reports that the result is identical to what exact evaluation
 	// would return: the bounds met and no candidate was skipped. Always
 	// true when Epsilon, Budget and TopR are all zero, and when a budget
-	// alone was never reached; possibly true even with ε > 0 when the
-	// search happened to complete exactly.
+	// alone was never reached, except for a clique search that hit its
+	// enumeration cap (see BudgetExhausted); possibly true even with ε > 0
+	// when the search happened to complete exactly.
 	Exact bool
 	// Work counts the work units actually spent, at checkpoint granularity.
 	// Only metered when Epsilon, Budget or TopR is set; 0 otherwise.
@@ -155,7 +156,10 @@ type Result struct {
 	// BudgetExhausted reports that Query.Budget ran out mid-evaluation and
 	// the result is whatever had been established by then: for core (with
 	// AlgoDec), clique and truss the communities of the best level verified
-	// (possibly none), elsewhere no communities.
+	// (possibly none), elsewhere no communities. A clique search also sets
+	// it, budget or not, when a verification passes 200 000 maximal
+	// cliques: that verification proves nothing, so it ends the search the
+	// same way.
 	BudgetExhausted bool
 }
 
