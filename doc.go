@@ -64,8 +64,8 @@
 // ScoreLowerBound ≤ exact score ≤ ScoreUpperBound always holds, Exact
 // marks answers identical to the exact evaluator's, and BudgetExhausted
 // with a partial result (nil error) marks a query its budget cut short, or
-// a clique query whose enumeration passed its maximal-clique cap. The zero
-// knobs keep the exact path byte-for-byte.
+// a clique query with a candidate left undecided by the maximal-clique
+// enumeration cap. The zero knobs keep the exact path byte-for-byte.
 //
 // # Removed variant methods
 //

@@ -239,19 +239,9 @@ func budgetErr(m *Meter) error {
 	return fmt.Errorf("%w: cap %d reached after %d work units", ErrBudget, m.cap, m.spent)
 }
 
-// Exhaust unwinds the evaluation as an exhausted work budget does, for a
-// step that ran out of an internal cap of its own (clique enumeration's
-// clique.MaxCliques) rather than the query's meter. Such a step proved
-// nothing, so it must not read as a failed verification: the walks' probes
-// treat it like any budget cut, CatchBudget turns it into a partial result
-// and Recover into an error wrapping ErrBudget.
-func Exhaust(reason string) {
-	panic(unwind{err: fmt.Errorf("%w: %s", ErrBudget, reason), budget: true})
-}
-
-// unwind is the panic token Tick and Exhaust raise. It is deliberately
-// unexported: only Recover and CatchBudget can translate it, so an unguarded
-// escape is a loud bug, not a silent wrong answer.
+// unwind is the panic token Tick raises. It is deliberately unexported: only
+// Recover and CatchBudget can translate it, so an unguarded escape is a loud
+// bug, not a silent wrong answer.
 type unwind struct {
 	err    error
 	budget bool

@@ -11,7 +11,6 @@
 package clique
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/acq-search/acq/internal/cancel"
@@ -135,17 +134,16 @@ func remove(set []graph.VertexID, v graph.VertexID) []graph.VertexID {
 // subgraph induced by cand, over ops's view: the union of all maximal
 // cliques of size ≥ k reachable (via ≥ k−1 vertex overlaps) from a clique
 // containing q, sorted with ops.SortSet. nil means q is in no clique of size
-// ≥ k. An enumeration that hits MaxCliques proves nothing either way, so it
-// unwinds through cancel.Exhaust as an exhausted budget would; callers run
-// under cancel.Recover or cancel.CatchBudget. check is ticked through
-// enumeration and percolation (nil = uncancellable).
-func CommunityOf(ops *graph.SetOps, cand []graph.VertexID, q graph.VertexID, k int, check *cancel.Checker) []graph.VertexID {
+// ≥ k. ok is false when enumeration hit MaxCliques: that proves nothing
+// either way, and the community is then unknown rather than absent. check is
+// ticked through enumeration and percolation (nil = uncancellable).
+func CommunityOf(ops *graph.SetOps, cand []graph.VertexID, q graph.VertexID, k int, check *cancel.Checker) (comm []graph.VertexID, ok bool) {
 	if k < 2 {
 		k = 2
 	}
 	all, ok := Maximal(ops.Graph(), cand, check)
 	if !ok {
-		cancel.Exhaust(fmt.Sprintf("more than %d maximal cliques", MaxCliques))
+		return nil, false
 	}
 	var cliques [][]graph.VertexID
 	for _, c := range all {
@@ -154,7 +152,7 @@ func CommunityOf(ops *graph.SetOps, cand []graph.VertexID, q graph.VertexID, k i
 		}
 	}
 	if len(cliques) == 0 {
-		return nil
+		return nil, true
 	}
 	// Percolation BFS from the cliques containing q.
 	containsQ := func(c []graph.VertexID) bool {
@@ -170,7 +168,7 @@ func CommunityOf(ops *graph.SetOps, cand []graph.VertexID, q graph.VertexID, k i
 		}
 	}
 	if len(queue) == 0 {
-		return nil
+		return nil, true
 	}
 	for head := 0; head < len(queue); head++ {
 		a := queue[head]
@@ -187,7 +185,7 @@ func CommunityOf(ops *graph.SetOps, cand []graph.VertexID, q graph.VertexID, k i
 	for _, i := range queue {
 		out = append(out, cliques[i]...)
 	}
-	return ops.SortSet(out)
+	return ops.SortSet(out), true
 }
 
 // overlapAtLeast reports whether two sorted cliques share ≥ want vertices.

@@ -172,7 +172,7 @@ func TestCommunityOfPercolation(t *testing.T) {
 	b.AddEdge(4, 5) // weak bridge
 	g := b.MustBuild()
 
-	comm := CommunityOf(graph.NewSetOps(g), allVertices(g), 0, 4, nil)
+	comm, _ := CommunityOf(graph.NewSetOps(g), allVertices(g), 0, 4, nil)
 	if len(comm) != 5 {
 		t.Fatalf("4-clique community of 0 = %v, want {0..4}", comm)
 	}
@@ -183,12 +183,12 @@ func TestCommunityOfPercolation(t *testing.T) {
 	}
 	// k=3: the two K4s still form one community; the bridge edge is not a
 	// triangle, so 5..8 stay separate.
-	comm = CommunityOf(graph.NewSetOps(g), allVertices(g), 5, 3, nil)
+	comm, _ = CommunityOf(graph.NewSetOps(g), allVertices(g), 5, 3, nil)
 	if len(comm) != 4 || comm[0] != 5 {
 		t.Fatalf("3-clique community of 5 = %v", comm)
 	}
 	// q in no k-clique.
-	if got := CommunityOf(graph.NewSetOps(g), allVertices(g), 4, 5, nil); got != nil {
+	if got, _ := CommunityOf(graph.NewSetOps(g), allVertices(g), 4, 5, nil); got != nil {
 		t.Fatalf("5-clique community = %v, want nil", got)
 	}
 }
@@ -199,13 +199,13 @@ func TestCommunityOfFig3(t *testing.T) {
 	e, _ := g.VertexByLabel("E")
 	// 3-clique communities: {A,B,C,D} and {C,D,E} share the pair {C,D}
 	// (overlap 2 ≥ k−1) → one community {A,B,C,D,E}.
-	comm := CommunityOf(graph.NewSetOps(g), allVertices(g), a, 3, nil)
+	comm, _ := CommunityOf(graph.NewSetOps(g), allVertices(g), a, 3, nil)
 	got := testutil.LabelSet(g, comm)
 	if len(got) != 5 || !got["E"] {
 		t.Fatalf("3-clique community of A = %v", got)
 	}
 	// 4-clique community of E: none (E's largest clique is the triangle).
-	if CommunityOf(graph.NewSetOps(g), allVertices(g), e, 4, nil) != nil {
+	if got, _ := CommunityOf(graph.NewSetOps(g), allVertices(g), e, 4, nil); got != nil {
 		t.Fatal("E must have no 4-clique community")
 	}
 }
@@ -218,7 +218,7 @@ func TestCommunityOfSoundQuick(t *testing.T) {
 		g := testutil.RandomGraph(rng, 4+rng.Intn(20), 2+3*rng.Float64(), 5, 2)
 		q := graph.VertexID(rng.Intn(g.NumVertices()))
 		k := 3
-		comm := CommunityOf(graph.NewSetOps(g), allVertices(g), q, k, nil)
+		comm, _ := CommunityOf(graph.NewSetOps(g), allVertices(g), q, k, nil)
 		if comm == nil {
 			return true
 		}

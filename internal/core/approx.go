@@ -24,6 +24,10 @@ import (
 //   - top-r caps the candidate sets verified per level; a truncated level
 //     that fails proves nothing, so U stays put and only the probe cursor
 //     moves;
+//   - a verification that hits an enumeration cap of its own (a clique
+//     search beyond clique.MaxCliques maximal cliques) leaves its candidate
+//     undecided: like a top-r cut, it keeps the level's failure from
+//     refuting anything and the level's success from counting as complete;
 //   - a work budget (cancel.Meter on the context) cuts any probe short, and
 //     the driver returns the best communities found with the bounds that
 //     stand.
@@ -65,8 +69,11 @@ type Bounds struct {
 	Work int64
 	// BudgetExhausted reports that the work budget ran out mid-evaluation,
 	// or that a verification hit an enumeration cap of its own (a clique
-	// search beyond clique.MaxCliques maximal cliques). Either way the
-	// interrupted probe refuted nothing and the bounds stand.
+	// search beyond clique.MaxCliques maximal cliques). A budget cut ends
+	// the walk; a capped verification only leaves its own candidate
+	// undecided, and the walk goes on with the level's other candidates
+	// and the lower levels. Either way nothing undecided refuted a level,
+	// so the bounds stand, and Exact is false.
 	BudgetExhausted bool
 	// Truncated reports that top-r dropped candidate sets at some level.
 	Truncated bool
@@ -91,17 +98,19 @@ func runToEnd(step func()) bool {
 
 // approxLevels runs the ε-bounded, budget-aware, top-r-truncated search over
 // mined candidate levels. levels[l-1] holds the size-l candidate sets;
-// verify(set) returns the community for one candidate or nil, and probe runs
-// each level's verification. It returns the qualifying communities of the
+// verify(set) returns the community for one candidate or nil, with ok false
+// when the verification hit an enumeration cap and decided nothing, and probe
+// runs each level's verification. It returns the qualifying communities of the
 // best level probed (nil if none) and the achieved bounds (Work left for the
 // caller to fill).
-func approxLevels(levels [][][]graph.KeywordID, ap Approx, probe prober, verify func(set []graph.KeywordID) []graph.VertexID) ([]Community, Bounds) {
+func approxLevels(levels [][][]graph.KeywordID, ap Approx, probe prober, verify func(set []graph.KeywordID) (comm []graph.VertexID, ok bool)) ([]Community, Bounds) {
 	h := len(levels)
 	lower, upper := 0, h
 	cur := h // next probe ceiling; < upper only after a truncated failure
 	var best []Community
 	truncated := false   // some level's candidate list was cut by top-r
 	truncAtBest := false // the winning level's own scan was incomplete
+	capped := false      // some verification hit an enumeration cap
 	exhausted := false
 
 	done := func() bool {
@@ -134,23 +143,28 @@ func approxLevels(levels [][][]graph.KeywordID, ap Approx, probe prober, verify 
 			truncated = true
 		}
 		var out []Community
+		undecided := false // a candidate of this level hit an enumeration cap
 		exhausted = probe(func() {
 			for _, set := range sets {
-				if comm := verify(set); comm != nil {
+				comm, ok := verify(set)
+				undecided = undecided || !ok
+				if comm != nil {
 					out = append(out, Community{Label: set, Vertices: comm})
 				}
 			}
 		})
+		capped = capped || undecided
 		switch {
 		case len(out) > 0:
 			lower = m
 			best = out
-			truncAtBest = trunc || exhausted
+			truncAtBest = trunc || undecided || exhausted
 		case exhausted:
 			// The probe proved nothing; the bounds stand as they are.
-		case trunc:
-			// Top-r hid candidates, so the failure refutes nothing; move
-			// the cursor past this level without tightening the bound.
+		case trunc || undecided:
+			// Top-r hid candidates, or a capped verification decided
+			// nothing, so the failure refutes nothing; move the cursor past
+			// this level without tightening the bound.
 			cur = m - 1
 		default:
 			// Every size-m candidate failed: by anti-monotonicity no level
@@ -164,8 +178,8 @@ func approxLevels(levels [][][]graph.KeywordID, ap Approx, probe prober, verify 
 	return best, Bounds{
 		Lower:           lower,
 		Upper:           upper,
-		Exact:           lower == upper && !exhausted && !truncAtBest,
-		BudgetExhausted: exhausted,
+		Exact:           lower == upper && !exhausted && !capped && !truncAtBest,
+		BudgetExhausted: exhausted || capped,
 		Truncated:       truncated,
 	}
 }
@@ -196,12 +210,15 @@ type structure struct {
 	// lies: 0 for the k-core, 1 for k-clique and k-truss, whose communities
 	// lie in the (k−1)-core. A walk with slack clamps k to at least 2.
 	slack int
-	// community returns q's community at e.k inside cand, sorted, or nil.
-	community func(e *env, cand []graph.VertexID) []graph.VertexID
+	// community returns q's community at e.k inside cand, sorted, or nil;
+	// ok is false when the measure's own enumeration cap left it undecided.
+	community func(e *env, cand []graph.VertexID) (comm []graph.VertexID, ok bool)
 }
 
-// kcoreStructure verifies by the Gk peel.
-var kcoreStructure = structure{community: (*env).peel}
+// kcoreStructure verifies by the Gk peel, which always decides.
+var kcoreStructure = structure{community: func(e *env, cand []graph.VertexID) ([]graph.VertexID, bool) {
+	return e.peel(cand), true
+}}
 
 // walk is the one body of Dec, DecWithMiner, DecApprox and the clique and
 // truss searches, exact and approximate alike: mine the candidate levels
@@ -214,7 +231,8 @@ var kcoreStructure = structure{community: (*env).peel}
 // refuted the answer is the structure-only fallback, the walk's only read of
 // the tree's vertex lists: for the k-core a plain copy of q's k-ĉore;
 // otherwise the measure's community inside q's (k−1)-ĉore, verified inside a
-// probe.
+// probe. A capped verification never ends in ErrNoKCore: the walk answers
+// the bounds it could prove, with BudgetExhausted set.
 func walk(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, opt Options, ap Approx, st structure, mine Miner, probe prober) (res Result, b Bounds, err error) {
 	check, err := begin(ctx)
 	if err != nil {
@@ -230,10 +248,10 @@ func walk(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywo
 	if st.slack > 0 && k < 2 {
 		k = 2
 	}
-	minCore := int32(k - st.slack)
-	if t.Core[q] < minCore {
+	if int(t.Core[q]) < k-st.slack {
 		return Result{}, Bounds{}, ErrNoKCore
 	}
+	minCore := int32(k - st.slack)
 	e := t.newEnv(q, k, opt, check)
 	defer t.releaseScratch(e.sc)
 	kb := &e.sc.bits
@@ -249,10 +267,9 @@ func walk(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywo
 	}) {
 		return Result{}, Bounds{Upper: len(s), BudgetExhausted: true}, nil
 	}
-	keep := func(v graph.VertexID) bool { return t.Core[v] >= minCore && kb.covers(t.g.Keywords(v)) }
-	best, b2 := approxLevels(levels, ap, probe, func(set []graph.KeywordID) []graph.VertexID {
+	best, b2 := approxLevels(levels, ap, probe, func(set []graph.KeywordID) ([]graph.VertexID, bool) {
 		kb.setWant(set)
-		return e.verify(st, keep)
+		return e.verify(st, nil)
 	})
 	if best != nil {
 		return Result{Communities: best, LabelSize: b2.Lower}, b2, nil
@@ -265,7 +282,8 @@ func walk(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywo
 		return fallbackResult(e.ops, scope), exactBounds(0), nil
 	}
 	var comm []graph.VertexID
-	if probe(func() { comm = st.community(e, scope) }) {
+	ok := true
+	if probe(func() { comm, ok = st.community(e, scope) }) || !ok {
 		return Result{}, Bounds{BudgetExhausted: true}, nil
 	}
 	if comm == nil {

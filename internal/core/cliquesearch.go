@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 
+	"github.com/acq-search/acq/internal/cancel"
 	"github.com/acq-search/acq/internal/clique"
 	"github.com/acq-search/acq/internal/graph"
 )
@@ -18,14 +20,19 @@ import (
 // verified from the largest candidates downward. A k-clique is contained in
 // the (k−1)-core, so each candidate is verified on q's component of the
 // keyword-filtered (k−1)-core (see env.verify). k ≥ 2. A verification whose
-// clique enumeration hits clique.MaxCliques proves nothing, so it ends the
-// search with an error wrapping cancel.ErrBudget, never with ErrNoKCore.
+// clique enumeration hits clique.MaxCliques proves nothing, so the walk
+// cannot be exact: the search then ends with an error wrapping
+// cancel.ErrBudget, never with ErrNoKCore. CliqueApprox returns what the
+// walk could prove instead.
 func CliqueSearch(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID) (Result, error) {
-	res, _, err := walk(ctx, t, q, k, s, DefaultOptions(), Approx{}, cliqueStructure, nil, runToEnd)
+	res, b, err := walk(ctx, t, q, k, s, DefaultOptions(), Approx{}, cliqueStructure, nil, runToEnd)
+	if err == nil && b.BudgetExhausted {
+		return Result{}, fmt.Errorf("%w: a clique enumeration passed %d maximal cliques", cancel.ErrBudget, clique.MaxCliques)
+	}
 	return res, err
 }
 
 // cliqueStructure verifies by k-clique percolation.
-var cliqueStructure = structure{slack: 1, community: func(e *env, cand []graph.VertexID) []graph.VertexID {
+var cliqueStructure = structure{slack: 1, community: func(e *env, cand []graph.VertexID) ([]graph.VertexID, bool) {
 	return clique.CommunityOf(e.ops, cand, e.q, e.k, e.check)
 }}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -55,6 +56,22 @@ func TestCliqueSearchErrors(t *testing.T) {
 	if _, err := CliqueSearch(bgCtx, tr, graph.VertexID(-3), 3, nil); !errors.Is(err, ErrVertexOutOfRange) {
 		t.Fatalf("err = %v", err)
 	}
+	// k beyond int32 (on 64-bit ints): the core bound must not wrap around
+	// to a small or negative one, as 1<<32 + 3 would to 3 and 1<<31 to a
+	// negative bound.
+	var bigK []int64
+	if strconv.IntSize == 64 {
+		bigK = []int64{1<<32 + 3, 1 << 31}
+	}
+	for _, big := range bigK {
+		k := int(big)
+		if _, err := CliqueSearch(bgCtx, tr, a, k, nil); !errors.Is(err, ErrNoKCore) {
+			t.Fatalf("CliqueSearch k=%d: err = %v, want ErrNoKCore", k, err)
+		}
+		if _, err := Dec(bgCtx, tr, a, k, nil, DefaultOptions()); !errors.Is(err, ErrNoKCore) {
+			t.Fatalf("Dec k=%d: err = %v, want ErrNoKCore", k, err)
+		}
+	}
 }
 
 // Property: every clique community member shares the AC-label and q is a
@@ -102,13 +119,15 @@ func TestCliqueSearchSoundQuick(t *testing.T) {
 	}
 }
 
-// completeMultipartite returns the complete graph of parts parts of size
-// vertices each, every vertex carrying the keyword x: a maximal clique takes
-// one vertex from each part, so there are size^parts of them.
-func completeMultipartite(parts, size int) *graph.Graph {
+// completeMultipartite returns a builder holding the complete graph of parts
+// parts of size vertices each, vertices 0 … parts·size−1, every vertex
+// carrying the keyword x and vertex 0 also the keywords extra: a maximal
+// clique takes one vertex from each part, so there are size^parts of them.
+func completeMultipartite(parts, size int, extra ...string) *graph.Builder {
 	b := graph.NewBuilder()
 	n := parts * size
-	for v := 0; v < n; v++ {
+	b.AddVertex("", append([]string{"x"}, extra...)...)
+	for v := 1; v < n; v++ {
 		b.AddVertex("", "x")
 	}
 	for u := 0; u < n; u++ {
@@ -118,7 +137,7 @@ func completeMultipartite(parts, size int) *graph.Graph {
 			}
 		}
 	}
-	return b.MustBuild()
+	return b
 }
 
 // TestCliqueCapIsNotARefutation: a verification whose clique enumeration
@@ -127,7 +146,7 @@ func completeMultipartite(parts, size int) *graph.Graph {
 // core 33) q lies in a 12-clique; the exact search reports an exhausted
 // budget and the approximate one the bracket it could not narrow.
 func TestCliqueCapIsNotARefutation(t *testing.T) {
-	tr := BuildAdvanced(completeMultipartite(12, 3))
+	tr := BuildAdvanced(completeMultipartite(12, 3).MustBuild())
 	if _, err := CliqueSearch(bgCtx, tr, 0, 3, nil); !errors.Is(err, cancel.ErrBudget) || errors.Is(err, ErrNoKCore) {
 		t.Fatalf("CliqueSearch err = %v, want cancel.ErrBudget", err)
 	}
@@ -137,5 +156,37 @@ func TestCliqueCapIsNotARefutation(t *testing.T) {
 	}
 	if want := (Bounds{Lower: 0, Upper: 1, BudgetExhausted: true}); b != want {
 		t.Fatalf("CliqueApprox bounds = %+v, want %+v", b, want)
+	}
+}
+
+// TestCliqueCapLeavesLevelOpen: a capped candidate leaves only itself
+// undecided. q (vertex 0) carries x and y; its x-ball is K_{3,…,3} with 12
+// parts and passes the enumeration cap, while its y-ball is a K4 of q and
+// three y-vertices. The level's other candidate {y} still qualifies, so the
+// approximate search answers it at label size 1, marked inexact because {x}
+// stayed undecided; the exact search cannot be exact and says so.
+func TestCliqueCapLeavesLevelOpen(t *testing.T) {
+	b := completeMultipartite(12, 3, "y")
+	ys := []graph.VertexID{0, b.AddVertex("", "y"), b.AddVertex("", "y"), b.AddVertex("", "y")}
+	for i, u := range ys {
+		for _, v := range ys[i+1:] {
+			b.AddEdge(u, v)
+		}
+	}
+	g := b.MustBuild()
+	tr := BuildAdvanced(g)
+	res, bd, err := CliqueApprox(bgCtx, tr, 0, 3, nil, Approx{})
+	if err != nil {
+		t.Fatalf("CliqueApprox err = %v", err)
+	}
+	if want := (Bounds{Lower: 1, Upper: 1, BudgetExhausted: true}); bd != want {
+		t.Fatalf("CliqueApprox bounds = %+v, want %+v", bd, want)
+	}
+	want := []Community{{Label: kws(g, "y"), Vertices: ys}}
+	if res.LabelSize != 1 || res.Fallback || !reflect.DeepEqual(res.Communities, want) {
+		t.Fatalf("CliqueApprox = %+v, want %+v at label size 1", res, want)
+	}
+	if _, err := CliqueSearch(bgCtx, tr, 0, 3, nil); !errors.Is(err, cancel.ErrBudget) {
+		t.Fatalf("CliqueSearch err = %v, want cancel.ErrBudget", err)
 	}
 }

@@ -83,13 +83,11 @@ func CommunitiesByLabelSize(ctx context.Context, t *Tree, q graph.VertexID, k in
 	if maxSize > 0 && len(levels) > maxSize {
 		levels = levels[:maxSize]
 	}
-	minCore := int32(k)
-	keep := func(v graph.VertexID) bool { return t.Core[v] >= minCore && kb.covers(t.g.Keywords(v)) }
 	out = make([][]Community, len(levels))
 	for i, bucket := range levels {
 		for _, set := range bucket {
 			kb.setWant(set)
-			if comm := e.verify(kcoreStructure, keep); comm != nil {
+			if comm, _ := e.verify(kcoreStructure, nil); comm != nil {
 				out[i] = append(out[i], Community{Label: set, Vertices: comm})
 			}
 		}

@@ -230,12 +230,11 @@ func TestDecCandidatesVerified(t *testing.T) {
 		kb := &e.sc.bits
 		s := tr.g.Keywords(q)
 		kb.reset(tr.g, s)
-		keep := func(v graph.VertexID) bool { return tr.Core[v] >= k && kb.covers(tr.g.Keywords(v)) }
 		walk := func(levels [][][]graph.KeywordID, verified *int) ([]Community, Bounds) {
-			return approxLevels(levels, Approx{}, runToEnd, func(set []graph.KeywordID) []graph.VertexID {
+			return approxLevels(levels, Approx{}, runToEnd, func(set []graph.KeywordID) ([]graph.VertexID, bool) {
 				*verified++
 				kb.setWant(set)
-				return e.verify(kcoreStructure, keep)
+				return e.verify(kcoreStructure, nil)
 			})
 		}
 		got, gotB := walk(kb.mine(tr.g, tr.Core, q, k, nil), &served)

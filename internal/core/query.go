@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/acq-search/acq/internal/cancel"
 	"github.com/acq-search/acq/internal/graph"
@@ -71,8 +72,10 @@ type env struct {
 	k     int
 	opt   Options
 	check *cancel.Checker
-	// sc is the pooled scratch ops came from; nil for an index-free env.
-	sc *queryScratch
+	// sc is the pooled scratch ops came from, and core the tree's core
+	// numbers; both nil for an index-free env.
+	sc   *queryScratch
+	core []int32
 }
 
 // newEnv assembles the per-query state of an index-free evaluation, wiring
@@ -88,7 +91,7 @@ func newEnv(g graph.View, q graph.VertexID, k int, opt Options, check *cancel.Ch
 // caller must defer t.releaseScratch(e.sc).
 func (t *Tree) newEnv(q graph.VertexID, k int, opt Options, check *cancel.Checker) *env {
 	sc := t.acquireScratch(check)
-	return &env{g: t.g, ops: sc.ops, q: q, k: k, opt: opt, check: check, sc: sc}
+	return &env{g: t.g, ops: sc.ops, q: q, k: k, opt: opt, check: check, sc: sc, core: t.Core}
 }
 
 // begin starts a cancellable evaluation: it builds the amortised checker for
@@ -105,13 +108,18 @@ func begin(ctx context.Context) (*cancel.Checker, error) {
 
 // normalizeQuery validates (q, k) and canonicalises S: nil means W(q), and
 // keywords outside W(q) are dropped (the paper skips them — no community
-// containing q can share a keyword q itself lacks).
+// containing q can share a keyword q itself lacks). A k beyond int32 has no
+// k-core (degrees and core numbers are int32), and is refused here so that
+// no evaluator truncates it to a small bound.
 func normalizeQuery(g graph.View, q graph.VertexID, k int, s []graph.KeywordID) ([]graph.KeywordID, error) {
 	if int(q) < 0 || int(q) >= g.NumVertices() {
 		return nil, fmt.Errorf("%w: %d", ErrVertexOutOfRange, q)
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadK, k)
+	}
+	if k > math.MaxInt32 {
+		return nil, ErrNoKCore
 	}
 	if s == nil {
 		return append([]graph.KeywordID(nil), g.Keywords(q)...), nil
@@ -149,17 +157,25 @@ func (e *env) peel(comp []graph.VertexID) []graph.VertexID {
 
 // verify is the one candidate verifier of the index-backed searches (the
 // walks, SWT, SJ and CommunitiesByLabelSize): q's community under st inside
-// q's connected component of {v : keep(v)}, sorted, or nil. keep holds the
-// core bound k − st.slack as well as the candidate's keyword rule, so the
-// expansion tests each vertex with one call. The component is grown by BFS
-// from q (local expansion) instead of being filtered out of q's ĉore: every
-// vertex that passes keep and is reachable from q through such vertices lies
-// in q's ĉore, so the community is the one a scan of the whole ĉore finds,
-// at a cost that follows the community's neighbourhood instead. The
-// expansion never tests q itself, hence the keep(q) guard.
-func (e *env) verify(st structure, keep func(graph.VertexID) bool) []graph.VertexID {
+// q's connected component of {v : core(v) ≥ e.k − st.slack ∧ rule(v)},
+// sorted, or nil; ok is false when st's enumeration cap left it undecided.
+// A nil rule is the walks' keyword-set test, the set loaded into the scratch
+// keyword bits by setWant; the core bound and the keyword test share one
+// closure, so the expansion tests each vertex with a single call. The component is grown by BFS from q (local expansion) instead of
+// being filtered out of q's ĉore: every vertex that passes the test and is
+// reachable from q through such vertices lies in q's ĉore, so the community
+// is the one a scan of the whole ĉore finds, at a cost that follows the
+// community's neighbourhood instead. The expansion never tests q itself,
+// hence the guard on q.
+func (e *env) verify(st structure, rule func(graph.VertexID) bool) (comm []graph.VertexID, ok bool) {
+	core, minCore := e.core, int32(e.k-st.slack)
+	keep := func(v graph.VertexID) bool { return core[v] >= minCore && rule(v) }
+	if rule == nil {
+		g, kb := e.g, &e.sc.bits
+		keep = func(v graph.VertexID) bool { return core[v] >= minCore && kb.covers(g.Keywords(v)) }
+	}
 	if !keep(e.q) {
-		return nil
+		return nil, true
 	}
 	return st.community(e, e.ops.ExpandComponentOf(e.q, keep))
 }

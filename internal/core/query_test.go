@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -214,6 +215,16 @@ func TestQueryErrors(t *testing.T) {
 	for name, run := range allAlgorithms(g, tr, a, 10, nil) {
 		if _, err := run(); !errors.Is(err, ErrNoKCore) {
 			t.Fatalf("%s: err = %v, want ErrNoKCore", name, err)
+		}
+	}
+	// k beyond int32 (on 64-bit ints) must not truncate to a small bound.
+	if strconv.IntSize == 64 {
+		for _, big := range []int64{1<<32 + 3, 1 << 31} {
+			for name, run := range allAlgorithms(g, tr, a, int(big), nil) {
+				if _, err := run(); !errors.Is(err, ErrNoKCore) {
+					t.Fatalf("%s k=%d: err = %v, want ErrNoKCore", name, big, err)
+				}
+			}
 		}
 	}
 }

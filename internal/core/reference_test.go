@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -73,9 +74,14 @@ func refDec(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Key
 	return fallbackResult(e.ops, sub), nil
 }
 
+// errRefCapped is refScoped's answer to a verification left undecided.
+var errRefCapped = errors.New("reference: a verification hit its enumeration cap")
+
 // refScoped is the (k−1)-core-scoped search of the clique and truss modes
 // with the whole keyword-filtered (k−1)-core as each candidate's scope,
-// handed straight to the structure's community function.
+// handed straight to the structure's community function. A verification
+// that the structure's enumeration cap leaves undecided has no reference
+// answer; it fails with errRefCapped.
 func refScoped(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.KeywordID, st structure) (res Result, err error) {
 	check, err := begin(ctx)
 	if err != nil {
@@ -98,7 +104,11 @@ func refScoped(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.
 	for l := len(levels); l >= 1; l-- {
 		var out []Community
 		for _, set := range levels[l-1] {
-			if comm := st.community(e, e.ops.FilterByKeywords(scope, set)); comm != nil {
+			comm, ok := st.community(e, e.ops.FilterByKeywords(scope, set))
+			if !ok {
+				return Result{}, errRefCapped
+			}
+			if comm != nil {
 				out = append(out, Community{Label: set, Vertices: comm})
 			}
 		}
@@ -106,7 +116,10 @@ func refScoped(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.
 			return Result{Communities: out, LabelSize: l}, nil
 		}
 	}
-	comm := st.community(e, scope)
+	comm, ok := st.community(e, scope)
+	if !ok {
+		return Result{}, errRefCapped
+	}
 	if comm == nil {
 		return Result{}, ErrNoKCore
 	}

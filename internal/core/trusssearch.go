@@ -22,12 +22,12 @@ func TrussSearchD(ctx context.Context, t *Tree, q graph.VertexID, k, d int, s []
 // trussStructure verifies by truss peeling, alternated with in-community
 // distance filtering when d > 0.
 func trussStructure(d int) structure {
-	return structure{slack: 1, community: func(e *env, cand []graph.VertexID) []graph.VertexID {
+	return structure{slack: 1, community: func(e *env, cand []graph.VertexID) ([]graph.VertexID, bool) {
 		if d > 0 {
-			return e.kdTrussFixpoint(cand, d)
+			return e.kdTrussFixpoint(cand, d), true
 		}
 		comm, _ := truss.CommunityOf(e.ops, cand, e.q, e.k, e.check)
-		return comm
+		return comm, true
 	}}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 
 	"github.com/acq-search/acq/internal/cancel"
 	"github.com/acq-search/acq/internal/graph"
@@ -68,8 +69,8 @@ func SWT(ctx context.Context, t *Tree, q graph.VertexID, k int, s []graph.Keywor
 func (t *Tree) verifyRule(q graph.VertexID, k int, rule func(graph.VertexID) bool, check *cancel.Checker) []graph.VertexID {
 	e := t.newEnv(q, k, DefaultOptions(), check)
 	defer t.releaseScratch(e.sc)
-	minCore := int32(k)
-	return e.verify(kcoreStructure, func(v graph.VertexID) bool { return t.Core[v] >= minCore && rule(v) })
+	comm, _ := e.verify(kcoreStructure, rule)
+	return comm
 }
 
 // BasicGV1 answers Variant 1 without an index (Appendix G, Algorithm 10):
@@ -156,12 +157,16 @@ func BasicWV2(ctx context.Context, g graph.View, q graph.VertexID, k int, s []gr
 
 // validateVariantQuery validates (q, k) and canonicalises S without
 // intersecting it with W(q): the variants accept arbitrary predefined sets.
+// A k beyond int32 has no k-core, as in normalizeQuery.
 func validateVariantQuery(g graph.View, q graph.VertexID, k int, s []graph.KeywordID) ([]graph.KeywordID, error) {
 	if int(q) < 0 || int(q) >= g.NumVertices() {
 		return nil, ErrVertexOutOfRange
 	}
 	if k < 1 {
 		return nil, ErrBadK
+	}
+	if k > math.MaxInt32 {
+		return nil, ErrNoKCore
 	}
 	return graph.SortKeywordSet(append([]graph.KeywordID(nil), s...)), nil
 }

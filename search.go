@@ -158,8 +158,9 @@ type Result struct {
 	// AlgoDec), clique and truss the communities of the best level verified
 	// (possibly none), elsewhere no communities. A clique search also sets
 	// it, budget or not, when a verification passes 200 000 maximal
-	// cliques: that verification proves nothing, so it ends the search the
-	// same way.
+	// cliques: that candidate stays undecided and refutes nothing, while the
+	// search goes on with the other candidates and returns the best level
+	// verified.
 	BudgetExhausted bool
 }
 
